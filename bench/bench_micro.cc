@@ -88,6 +88,24 @@ void BM_SynthesizePrograms(benchmark::State& state) {
 }
 BENCHMARK(BM_SynthesizePrograms)->RangeMultiplier(2)->Range(8, 64);
 
+void BM_JointSynthesize(benchmark::State& state) {
+  induction::InductionConfig cfg;
+  // Two examples of the same prefix-extraction transformation: the joint DP
+  // over both targets (the uncached two-example context call).
+  const size_t len = static_cast<size_t>(state.range(0));
+  std::vector<ExamplePair> examples;
+  for (uint64_t seed : {9, 10}) {
+    std::string src = MakeString(len, seed);
+    examples.push_back({src, src.substr(0, std::min<size_t>(6, src.size()))});
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        induction::SynthesizeCommonPrograms(examples, cfg));
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_JointSynthesize)->RangeMultiplier(2)->Range(8, 64);
+
 void BM_Aggregate(benchmark::State& state) {
   Aggregator agg;
   std::vector<std::string> votes;

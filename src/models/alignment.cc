@@ -1,10 +1,14 @@
 #include "models/alignment.h"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
+#include <charconv>
+#include <cstdint>
+#include <iterator>
 #include <map>
-#include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "util/string_util.h"
 
@@ -51,8 +55,16 @@ const char* CaseName(CaseOp op) {
   return "?";
 }
 
-std::string PosKey(const PosRef& p) {
-  return StrFormat("%d%c", p.index, p.from_end ? 'e' : 's');
+void AppendPosKey(const PosRef& p, std::string* out) {
+  char digits[16];
+  const auto end = std::to_chars(digits, digits + sizeof(digits), p.index).ptr;
+  out->append(digits, end);
+  out->push_back(p.from_end ? 'e' : 's');
+}
+
+void AppendCaseKey(CaseOp op, std::string* out) {
+  out->push_back(',');
+  *out += CaseName(op);
 }
 
 }  // namespace
@@ -110,19 +122,45 @@ std::optional<std::string> Atom::Apply(const TokenCache& cache) const {
 }
 
 std::string Atom::Key() const {
-  std::string fam = family == 0 ? std::string("*") : std::string(1, family);
+  std::string key;
+  AppendKey(&key);
+  return key;
+}
+
+void Atom::AppendKey(std::string* out) const {
+  const char fam = family == 0 ? '*' : family;
   switch (kind) {
     case Kind::kLiteral:
-      return "L:" + literal;
+      *out += "L:";
+      *out += literal;
+      return;
     case Kind::kCopyRange:
-      return "R:" + PosKey(begin) + "," + PosKey(end) + "," + CaseName(case_op);
+      *out += "R:";
+      AppendPosKey(begin, out);
+      out->push_back(',');
+      AppendPosKey(end, out);
+      AppendCaseKey(case_op, out);
+      return;
     case Kind::kCopyToken:
-      return "T:" + fam + "," + PosKey(token) + "," + CaseName(case_op);
+      *out += "T:";
+      out->push_back(fam);
+      out->push_back(',');
+      AppendPosKey(token, out);
+      AppendCaseKey(case_op, out);
+      return;
     case Kind::kCopyTokenSlice:
-      return "S:" + fam + "," + PosKey(token) + "," + PosKey(begin) + "," +
-             PosKey(end) + "," + CaseName(case_op);
+      *out += "S:";
+      out->push_back(fam);
+      out->push_back(',');
+      AppendPosKey(token, out);
+      out->push_back(',');
+      AppendPosKey(begin, out);
+      out->push_back(',');
+      AppendPosKey(end, out);
+      AppendCaseKey(case_op, out);
+      return;
   }
-  return "?";
+  *out += "?";
 }
 
 std::optional<std::string> AtomProgram::Apply(
@@ -144,7 +182,7 @@ std::optional<std::string> AtomProgram::Apply(const TokenCache& cache) const {
 std::string AtomProgram::Key() const {
   std::string key;
   for (const auto& atom : atoms) {
-    key += atom.Key();
+    atom.AppendKey(&key);
     key += ";";
   }
   return key;
@@ -333,96 +371,245 @@ void AddLiteralCandidates(std::string_view t, size_t j,
   }
 }
 
-// Merges adjacent literal atoms so equivalent programs share one key.
-void CanonicalizeLiterals(AtomProgram* program) {
-  std::vector<Atom> merged;
-  for (auto& atom : program->atoms) {
-    if (atom.kind == Atom::Kind::kLiteral && !merged.empty() &&
-        merged.back().kind == Atom::Kind::kLiteral) {
-      merged.back().literal += atom.literal;
-    } else {
-      merged.push_back(std::move(atom));
+// Keeps the `cap` highest-scoring items of `*v` in exactly the order
+// std::stable_sort by descending score followed by resize(cap) leaves them
+// (ties keep their relative order). Selecting before sorting makes a prune
+// of n items to k cost O(n + k log k) rather than O(n log n). The buffers
+// are reused across calls, so steady-state prunes do not allocate.
+template <typename T>
+class StableTopK {
+ public:
+  void operator()(std::vector<T>* v, size_t cap) {
+    const size_t n = v->size();
+    const size_t k = std::min(n, cap);
+    rank_.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      rank_[i] = {(*v)[i].score, static_cast<uint32_t>(i)};
     }
+    // A strict total order equal to the stable descending-score order.
+    auto before = [](const Rank& a, const Rank& b) {
+      return a.first > b.first || (a.first == b.first && a.second < b.second);
+    };
+    if (k < n) {
+      std::nth_element(rank_.begin(), rank_.begin() + k, rank_.end(), before);
+    }
+    std::sort(rank_.begin(), rank_.begin() + k, before);
+    kept_.clear();
+    for (size_t i = 0; i < k; ++i) {
+      kept_.push_back(std::move((*v)[rank_[i].second]));
+    }
+    v->swap(kept_);
   }
-  program->atoms = std::move(merged);
-}
 
-struct Partial {
-  std::vector<Atom> atoms;
-  double score = 0.0;
+ private:
+  using Rank = std::pair<double, uint32_t>;  // (score, original position)
+  std::vector<Rank> rank_;
+  std::vector<T> kept_;
 };
 
-}  // namespace
+// Candidate atoms kept per target position (the strongest).
+constexpr size_t kCandsPerPosition = 72;
 
-std::vector<AtomProgram> SynthesizePrograms(const ExamplePair& ex,
-                                            const InductionConfig& cfg) {
+// Candidate atoms of every target position, strongest first, flattened so a
+// search entry names its last atom with one index: position j's candidates
+// are cands[begin[j], begin[j + 1]).
+struct CandidateTable {
+  std::vector<Cand> cands;
+  std::vector<uint32_t> begin;
+};
+
+CandidateTable BuildCandidates(const TokenCache& cache, std::string_view t,
+                               const InductionConfig& cfg) {
+  CandidateTable table;
+  table.begin.reserve(t.size() + 1);
+  std::vector<Cand> at;
+  StableTopK<Cand> top;
+  for (size_t j = 0; j < t.size(); ++j) {
+    at.clear();
+    AddTokenCandidates(cache, t, j, cfg, &at);
+    AddCharRangeCandidates(cache.input(), t, j, cfg, &at);
+    AddLiteralCandidates(t, j, cfg, &at);
+    top(&at, kCandsPerPosition);
+    table.begin.push_back(static_cast<uint32_t>(table.cands.size()));
+    std::move(at.begin(), at.end(), std::back_inserter(table.cands));
+  }
+  table.begin.push_back(static_cast<uint32_t>(table.cands.size()));
+  return table;
+}
+
+constexpr uint32_t kNoAtom = UINT32_MAX;
+
+// One partial program of a beam or DP state: its score, the arena node of
+// its prefix and its last atom. Atom lists are rebuilt, by walking the
+// parent chain, only for the programs that finish.
+struct Entry {
+  double score = 0.0;
+  int32_t parent = -1;      // arena node of the prefix; -1: empty prefix
+  uint32_t atom = kNoAtom;  // flat candidate index; kNoAtom: empty program
+  int32_t depth = 0;        // atoms in the program
+};
+
+// The partial programs that were expanded, each interned once; the entries
+// extending one point at its node.
+class Arena {
+ public:
+  // The node of `e` as the prefix of its extensions.
+  int32_t Intern(const Entry& e) {
+    if (e.atom == kNoAtom) return -1;
+    nodes_.push_back({e.parent, e.atom});
+    return static_cast<int32_t>(nodes_.size() - 1);
+  }
+
+  // The atoms of `e`, first to last.
+  void Chain(const Entry& e, std::vector<uint32_t>* atoms) const {
+    atoms->clear();
+    if (e.atom == kNoAtom) return;
+    atoms->push_back(e.atom);
+    for (int32_t n = e.parent; n >= 0; n = nodes_[n].parent) {
+      atoms->push_back(nodes_[n].atom);
+    }
+    std::reverse(atoms->begin(), atoms->end());
+  }
+
+ private:
+  struct Node {
+    int32_t parent;
+    uint32_t atom;
+  };
+  std::vector<Node> nodes_;
+};
+
+// Turns finished entries into programs: best score first (stable), adjacent
+// literals merged (so equivalent programs share one key), duplicate
+// structural keys dropped, at most cfg.max_programs. Keys are assembled from
+// per-candidate key strings, so only the programs kept are materialized.
+std::vector<AtomProgram> Finish(std::vector<Entry>* done, const Arena& arena,
+                                const std::vector<Cand>& cands,
+                                const InductionConfig& cfg) {
   std::vector<AtomProgram> out;
-  const std::string& s = ex.source;
-  const std::string& t = ex.target;
-  if (t.empty()) return out;
-  TokenCache cache(s, cfg.separators);
-
-  // Candidate atoms per target position.
-  std::vector<std::vector<Cand>> cands(t.size());
-  for (size_t j = 0; j < t.size(); ++j) {
-    AddTokenCandidates(cache, t, j, cfg, &cands[j]);
-    AddCharRangeCandidates(s, t, j, cfg, &cands[j]);
-    AddLiteralCandidates(t, j, cfg, &cands[j]);
-    // Keep the strongest candidates per position.
-    auto& c = cands[j];
-    std::stable_sort(c.begin(), c.end(),
-                     [](const Cand& a, const Cand& b) { return a.score > b.score; });
-    if (c.size() > 72) c.resize(72);
-  }
-
-  // Beam over target positions.
-  std::vector<std::vector<Partial>> beams(t.size() + 1);
-  beams[0].push_back({});
-  for (size_t j = 0; j < t.size(); ++j) {
-    if (beams[j].empty()) continue;
-    for (const auto& partial : beams[j]) {
-      if (static_cast<int>(partial.atoms.size()) >= cfg.max_atoms) continue;
-      for (const auto& cand : cands[j]) {
-        size_t next = j + cand.len;
-        Partial ext = partial;
-        ext.atoms.push_back(cand.atom);
-        ext.score += cand.score;
-        beams[next].push_back(std::move(ext));
-      }
-    }
-    beams[j].clear();  // free memory as we go
-    for (size_t n = j + 1; n <= t.size(); ++n) {
-      auto& beam = beams[n];
-      if (static_cast<int>(beam.size()) > cfg.beam_width * 2) {
-        std::stable_sort(beam.begin(), beam.end(),
-                         [](const Partial& a, const Partial& b) {
-                           return a.score > b.score;
-                         });
-        beam.resize(static_cast<size_t>(cfg.beam_width));
-      }
-    }
-  }
-
-  auto& done = beams[t.size()];
-  std::stable_sort(done.begin(), done.end(),
-                   [](const Partial& a, const Partial& b) {
-                     return a.score > b.score;
-                   });
+  StableTopK<Entry>()(done, done->size());
+  std::vector<std::string> atom_keys(cands.size());  // filled on first use
   std::unordered_set<std::string> seen;
-  for (auto& partial : done) {
-    AtomProgram program;
-    program.atoms = std::move(partial.atoms);
-    program.score = partial.score;
-    CanonicalizeLiterals(&program);
-    std::string key = program.Key();
+  seen.reserve(static_cast<size_t>(std::max(0, cfg.max_programs)) + 1);
+  std::vector<uint32_t> chain;
+  std::string key, literal;
+  for (const Entry& entry : *done) {
+    arena.Chain(entry, &chain);
+    // Exactly AtomProgram::Key() of the literal-merged program.
+    key.clear();
+    bool in_literal = false;
+    auto flush_literal = [&] {
+      if (!in_literal) return;
+      key += "L:";
+      key += literal;
+      key += ';';
+      literal.clear();
+      in_literal = false;
+    };
+    for (uint32_t a : chain) {
+      const Atom& atom = cands[a].atom;
+      if (atom.kind == Atom::Kind::kLiteral) {
+        literal += atom.literal;
+        in_literal = true;
+        continue;
+      }
+      flush_literal();
+      std::string& atom_key = atom_keys[a];
+      if (atom_key.empty()) atom.AppendKey(&atom_key);
+      key += atom_key;
+      key += ';';
+    }
+    flush_literal();
     if (!seen.insert(key).second) continue;
+    AtomProgram program;
+    program.score = entry.score;
+    for (uint32_t a : chain) {
+      const Atom& atom = cands[a].atom;
+      if (atom.kind == Atom::Kind::kLiteral && !program.atoms.empty() &&
+          program.atoms.back().kind == Atom::Kind::kLiteral) {
+        program.atoms.back().literal += atom.literal;
+      } else {
+        program.atoms.push_back(atom);
+      }
+    }
     out.push_back(std::move(program));
     if (static_cast<int>(out.size()) >= cfg.max_programs) break;
   }
   return out;
 }
 
+}  // namespace
+
+std::vector<AtomProgram> SynthesizePrograms(const ExamplePair& ex,
+                                            const InductionConfig& cfg) {
+  const std::string& t = ex.target;
+  if (t.empty()) return {};
+  TokenCache cache(ex.source, cfg.separators);
+  const CandidateTable table = BuildCandidates(cache, t, cfg);
+
+  // Beam over target positions.
+  Arena arena;
+  StableTopK<Entry> prune;
+  std::vector<std::vector<Entry>> beams(t.size() + 1);
+  beams[0].push_back({});
+  for (size_t j = 0; j < t.size(); ++j) {
+    if (beams[j].empty()) continue;
+    for (const Entry& partial : beams[j]) {
+      if (partial.depth >= cfg.max_atoms) continue;
+      const int32_t node = arena.Intern(partial);
+      for (uint32_t c = table.begin[j]; c < table.begin[j + 1]; ++c) {
+        const Cand& cand = table.cands[c];
+        beams[j + cand.len].push_back(
+            {partial.score + cand.score, node, c, partial.depth + 1});
+      }
+    }
+    std::vector<Entry>().swap(beams[j]);  // free memory as we go
+    for (size_t n = j + 1; n <= t.size(); ++n) {
+      if (static_cast<int>(beams[n].size()) > cfg.beam_width * 2) {
+        prune(&beams[n], static_cast<size_t>(cfg.beam_width));
+      }
+    }
+  }
+  return Finish(&beams[t.size()], arena, table.cands, cfg);
+}
+
 namespace {
+
+// Partial programs kept per joint DP state.
+constexpr size_t kPerState = 4;
+
+// The partial programs of one joint DP state, bounded online to what the
+// state's expansion reads: every arrival, in arrival order, while at most
+// kPerState arrived; otherwise the kPerState best in stable descending-score
+// order (what stable_sort + resize over all arrivals would keep).
+class JointState {
+ public:
+  void Push(const Entry& e) {
+    if (arrived_ < kPerState) {
+      top_[arrived_++] = e;
+      return;
+    }
+    if (arrived_++ == kPerState) {
+      std::stable_sort(top_, top_ + kPerState, [](const Entry& a,
+                                                  const Entry& b) {
+        return a.score > b.score;
+      });
+    }
+    // `e` arrived last, so it only displaces entries it strictly outscores.
+    size_t i = 0;
+    while (i < kPerState && top_[i].score >= e.score) ++i;
+    if (i == kPerState) return;
+    std::move_backward(top_ + i, top_ + kPerState - 1, top_ + kPerState);
+    top_[i] = e;
+  }
+
+  size_t size() const { return std::min(arrived_, kPerState); }
+  const Entry& operator[](size_t i) const { return top_[i]; }
+
+ private:
+  Entry top_[kPerState];
+  size_t arrived_ = 0;
+};
 
 // Joint synthesis over two examples (the FlashFill-style version-space
 // intersection): a DP over position pairs (j1, j2) of the two targets where
@@ -432,85 +619,72 @@ namespace {
 std::vector<AtomProgram> JointSynthesize(const ExamplePair& ex1,
                                          const ExamplePair& ex2,
                                          const InductionConfig& cfg) {
-  std::vector<AtomProgram> out;
   const std::string& t1 = ex1.target;
   const std::string& t2 = ex2.target;
-  if (t1.empty() || t2.empty()) return out;
+  if (t1.empty() || t2.empty()) return {};
   TokenCache cache1(ex1.source, cfg.separators);
   TokenCache cache2(ex2.source, cfg.separators);
 
   // Candidate atoms anchored on example 1's positions (as in the
-  // single-example synthesis); each is validated against example 2 lazily.
-  std::vector<std::vector<Cand>> cands1(t1.size());
-  for (size_t j = 0; j < t1.size(); ++j) {
-    AddTokenCandidates(cache1, t1, j, cfg, &cands1[j]);
-    AddCharRangeCandidates(ex1.source, t1, j, cfg, &cands1[j]);
-    AddLiteralCandidates(t1, j, cfg, &cands1[j]);
-    auto& c = cands1[j];
-    std::stable_sort(c.begin(), c.end(), [](const Cand& a, const Cand& b) {
-      return a.score > b.score;
-    });
-    if (c.size() > 72) c.resize(72);
-  }
+  // single-example synthesis); each is validated against example 2.
+  const CandidateTable table = BuildCandidates(cache1, t1, cfg);
 
-  // dp[j1][j2]: best partial programs reaching (j1, j2).
-  constexpr size_t kPerState = 4;
-  const size_t n1 = t1.size() + 1;
+  // rows[j1][j2]: the state (j1, j2). A row is allocated on its first push
+  // and freed once expanded. The final state (|t1|, |t2|) is never expanded
+  // and keeps every arrival; the rest of row |t1| can never finish.
   const size_t n2 = t2.size() + 1;
-  std::vector<std::vector<std::vector<Partial>>> dp(
-      n1, std::vector<std::vector<Partial>>(n2));
-  dp[0][0].push_back({});
-  auto keep_top = [](std::vector<Partial>* v, size_t cap) {
-    if (v->size() <= cap) return;
-    std::stable_sort(v->begin(), v->end(), [](const Partial& a,
-                                              const Partial& b) {
-      return a.score > b.score;
-    });
-    v->resize(cap);
+  std::vector<std::vector<JointState>> rows(t1.size());
+  std::vector<Entry> done;
+  auto push = [&](size_t j1, size_t j2, const Entry& e) {
+    if (j1 == t1.size()) {
+      if (j2 == t2.size()) done.push_back(e);
+      return;
+    }
+    if (rows[j1].empty()) rows[j1].resize(n2);
+    rows[j1][j2].Push(e);
   };
+  push(0, 0, Entry{});
 
+  Arena arena;
+  std::vector<std::optional<std::string>> pieces2;
   // Process states in increasing j1 (atoms always consume >= 1 char of t1).
   for (size_t j1 = 0; j1 < t1.size(); ++j1) {
+    if (rows[j1].empty()) continue;
+    const uint32_t first = table.begin[j1];
+    const uint32_t last = table.begin[j1 + 1];
+    // A descriptor's piece on example 2 does not depend on j2: apply each
+    // candidate once per row.
+    pieces2.clear();
+    for (uint32_t c = first; c < last; ++c) {
+      pieces2.push_back(table.cands[c].atom.Apply(cache2));
+    }
     for (size_t j2 = 0; j2 <= t2.size(); ++j2) {
-      auto& here = dp[j1][j2];
-      if (here.empty()) continue;
-      keep_top(&here, kPerState);
-      for (const auto& cand : cands1[j1]) {
+      const JointState& here = rows[j1][j2];
+      const size_t count = here.size();
+      std::array<int32_t, kPerState> nodes;
+      nodes.fill(-1);
+      for (size_t i = 0; i < count; ++i) {
+        if (here[i].depth < cfg.max_atoms) nodes[i] = arena.Intern(here[i]);
+      }
+      for (uint32_t c = first; count > 0 && c < last; ++c) {
         // The same descriptor must produce a matching piece for example 2.
-        auto piece2 = cand.atom.Apply(cache2);
+        const std::optional<std::string>& piece2 = pieces2[c - first];
         if (!piece2) continue;
         if (t2.compare(j2, piece2->size(), *piece2) != 0) continue;
-        size_t next2 = j2 + piece2->size();
-        size_t next1 = j1 + cand.len;
-        for (const auto& partial : here) {
-          if (static_cast<int>(partial.atoms.size()) >= cfg.max_atoms) continue;
-          Partial ext = partial;
-          ext.atoms.push_back(cand.atom);
-          ext.score += cand.score;
-          dp[next1][next2].push_back(std::move(ext));
+        const Cand& cand = table.cands[c];
+        const size_t next1 = j1 + cand.len;
+        const size_t next2 = j2 + piece2->size();
+        for (size_t i = 0; i < count; ++i) {
+          const Entry& partial = here[i];
+          if (partial.depth >= cfg.max_atoms) continue;
+          push(next1, next2,
+               {partial.score + cand.score, nodes[i], c, partial.depth + 1});
         }
       }
-      here.clear();
-      here.shrink_to_fit();
     }
+    std::vector<JointState>().swap(rows[j1]);
   }
-
-  auto& done = dp[t1.size()][t2.size()];
-  std::stable_sort(done.begin(), done.end(),
-                   [](const Partial& a, const Partial& b) {
-                     return a.score > b.score;
-                   });
-  std::unordered_set<std::string> seen;
-  for (auto& partial : done) {
-    AtomProgram program;
-    program.atoms = std::move(partial.atoms);
-    program.score = partial.score;
-    CanonicalizeLiterals(&program);
-    if (!seen.insert(program.Key()).second) continue;
-    out.push_back(std::move(program));
-    if (static_cast<int>(out.size()) >= cfg.max_programs) break;
-  }
-  return out;
+  return Finish(&done, arena, table.cands, cfg);
 }
 
 }  // namespace
@@ -525,11 +699,16 @@ std::vector<AtomProgram> SynthesizeCommonPrograms(
   if (examples.size() == 2) return result;
 
   // More than two examples: verify the joint programs on the rest.
+  std::vector<TokenCache> rest;
+  rest.reserve(examples.size() - 2);
+  for (size_t i = 2; i < examples.size(); ++i) {
+    rest.emplace_back(examples[i].source, cfg.separators);
+  }
   std::vector<AtomProgram> filtered;
   for (auto& program : result) {
     bool ok = true;
     for (size_t i = 2; i < examples.size() && ok; ++i) {
-      auto out = program.Apply(examples[i].source, cfg.separators);
+      auto out = program.Apply(rest[i - 2]);
       ok = out && *out == examples[i].target;
     }
     if (ok) filtered.push_back(std::move(program));

@@ -83,6 +83,8 @@ struct Atom {
 
   /// Structural key; equal keys <=> same transformation behaviour.
   std::string Key() const;
+  /// Appends Key() to `out`.
+  void AppendKey(std::string* out) const;
 };
 
 /// A full synthesized program: the concatenation of its atoms' outputs.
@@ -122,12 +124,17 @@ std::vector<std::string> TokenizeCell(std::string_view s,
                                       std::string_view separators);
 
 /// All programs (up to cfg.max_programs, best score first) that map
-/// ex.source to ex.target exactly.
+/// ex.source to ex.target exactly. This and SynthesizeCommonPrograms are
+/// pure and uncached; callers that repeat inputs go through SynthesisMemo
+/// (models/synthesis_memo.h).
 std::vector<AtomProgram> SynthesizePrograms(const ExamplePair& ex,
                                             const InductionConfig& cfg);
 
-/// Programs valid for every example: synthesizes per example and intersects
-/// by structural key; result sorted by score (descending).
+/// Programs valid for every example. One example is SynthesizePrograms; with
+/// more, a joint DP over the first two examples' targets keeps only atoms
+/// whose descriptor produces matching pieces on both, and the resulting
+/// programs are then verified by applying them to the remaining examples.
+/// Result sorted by score (descending).
 std::vector<AtomProgram> SynthesizeCommonPrograms(
     const std::vector<ExamplePair>& examples, const InductionConfig& cfg);
 

@@ -3,6 +3,7 @@
 #include <cctype>
 
 #include "models/noisy_model.h"
+#include "models/synthesis_memo.h"
 #include "util/string_util.h"
 
 namespace dtt {
@@ -76,6 +77,7 @@ Result<std::string> KnowledgeLM::Transform(const Prompt& prompt) {
     }
   }
 
+  induction::SynthesisMemo& memo = induction::SynthesisMemo::Shared();
   if (k == 1) {
     // A single example underdetermines the transformation: sometimes the
     // model mis-reads the task entirely and rambles ...
@@ -84,9 +86,10 @@ Result<std::string> KnowledgeLM::Transform(const Prompt& prompt) {
     }
     // ... otherwise it samples among the top candidate programs (both are
     // the Figure 3 one-shot failure mode).
-    auto programs = induction::SynthesizePrograms(prompt.examples[0], cfg);
+    const induction::ProgramList programs =
+        memo.Programs(prompt.examples[0], cfg);
     std::vector<const induction::AtomProgram*> applicable;
-    for (const auto& p : programs) {
+    for (const auto& p : *programs) {
       auto out = p.Apply(prompt.source, cfg.separators);
       if (out && !out->empty()) applicable.push_back(&p);
       if (static_cast<int>(applicable.size()) >= options_.one_example_top_n) {
@@ -99,15 +102,17 @@ Result<std::string> KnowledgeLM::Transform(const Prompt& prompt) {
       return CorruptChars(*out, noise, &rng);
     }
   } else {
-    auto programs = induction::SynthesizeCommonPrograms(prompt.examples, cfg);
-    for (const auto& program : programs) {
+    const induction::ProgramList programs =
+        memo.CommonPrograms(prompt.examples, cfg);
+    for (const auto& program : *programs) {
       auto out = program.Apply(prompt.source, cfg.separators);
       if (out && !out->empty()) return CorruptChars(*out, noise, &rng);
     }
     // Inconsistent context: follow the first example alone half the time.
     if (rng.NextBool(0.5)) {
-      auto singles = induction::SynthesizePrograms(prompt.examples[0], cfg);
-      for (const auto& program : singles) {
+      const induction::ProgramList singles =
+          memo.Programs(prompt.examples[0], cfg);
+      for (const auto& program : *singles) {
         auto out = program.Apply(prompt.source, cfg.separators);
         if (out && !out->empty()) return CorruptChars(*out, noise, &rng);
       }

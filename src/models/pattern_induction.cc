@@ -1,6 +1,7 @@
 #include "models/pattern_induction.h"
 
 #include "models/noisy_model.h"
+#include "models/synthesis_memo.h"
 
 namespace dtt {
 
@@ -96,9 +97,10 @@ Result<std::string> PatternInductionModel::Transform(const Prompt& prompt) {
   }
 
   // 3. Character-level program synthesis across all context examples.
-  auto programs =
-      induction::SynthesizeCommonPrograms(prompt.examples, options_.induction);
-  for (const auto& program : programs) {
+  induction::SynthesisMemo& memo = induction::SynthesisMemo::Shared();
+  const induction::ProgramList programs =
+      memo.CommonPrograms(prompt.examples, options_.induction);
+  for (const auto& program : *programs) {
     auto out = program.Apply(prompt.source, options_.induction.separators);
     if (out && !out->empty()) {
       return CorruptChars(*out, options_.generation_noise, &rng);
@@ -116,8 +118,9 @@ Result<std::string> PatternInductionModel::Transform(const Prompt& prompt) {
     double best_score = -1e18;
     std::string best_output;
     for (const auto& example : prompt.examples) {
-      auto singles = induction::SynthesizePrograms(example, options_.induction);
-      for (const auto& program : singles) {
+      const induction::ProgramList singles =
+          memo.Programs(example, options_.induction);
+      for (const auto& program : *singles) {
         auto out = program.Apply(prompt.source, options_.induction.separators);
         if (out && !out->empty()) {
           if (program.score > best_score) {

@@ -84,9 +84,8 @@ TransformService::TransformService(
       base_rng_(options_.seed),
       paused_(options_.start_paused) {
   if (options_.cache.enabled) {
-    cache_ = std::make_unique<ShardedLruCache>(options_.cache.capacity,
-                                               options_.cache.num_shards,
-                                               "serve.cache");
+    cache_ = std::make_unique<ShardedLruCache<std::string>>(
+        options_.cache.capacity, options_.cache.num_shards, "serve.cache");
   }
   // num_threads <= 1 skips the worker pool entirely: batches run inline on
   // their backend's scheduler thread, so a default offline TransformAll

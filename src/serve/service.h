@@ -19,8 +19,8 @@
 #include "core/pipeline.h"
 #include "models/model.h"
 #include "obs/metrics.h"
-#include "serve/lru_cache.h"
 #include "text/decomposer.h"
+#include "util/lru_cache.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -267,7 +267,7 @@ class TransformService {
   Decomposer decomposer_;
   Aggregator aggregator_;
   Rng base_rng_;  // only Fork()ed, never advanced
-  std::unique_ptr<ShardedLruCache> cache_;
+  std::unique_ptr<ShardedLruCache<std::string>> cache_;
   std::unique_ptr<ThreadPool> pool_;
   std::vector<std::unique_ptr<Backend>> backends_;
 

@@ -1,4 +1,4 @@
-#include "serve/lru_cache.h"
+#include "util/lru_cache.h"
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,7 @@ namespace serve {
 namespace {
 
 TEST(ServeLruCacheTest, GetMissThenHit) {
-  ShardedLruCache cache(/*capacity=*/4, /*num_shards=*/1);
+  ShardedLruCache<std::string> cache(/*capacity=*/4, /*num_shards=*/1);
   EXPECT_FALSE(cache.Get("a").has_value());
   cache.Put("a", "1");
   auto hit = cache.Get("a");
@@ -22,7 +22,7 @@ TEST(ServeLruCacheTest, GetMissThenHit) {
 }
 
 TEST(ServeLruCacheTest, EvictsLeastRecentlyUsed) {
-  ShardedLruCache cache(/*capacity=*/2, /*num_shards=*/1);
+  ShardedLruCache<std::string> cache(/*capacity=*/2, /*num_shards=*/1);
   cache.Put("a", "1");
   cache.Put("b", "2");
   cache.Put("c", "3");  // evicts "a", the oldest
@@ -33,7 +33,7 @@ TEST(ServeLruCacheTest, EvictsLeastRecentlyUsed) {
 }
 
 TEST(ServeLruCacheTest, GetRefreshesRecency) {
-  ShardedLruCache cache(/*capacity=*/2, /*num_shards=*/1);
+  ShardedLruCache<std::string> cache(/*capacity=*/2, /*num_shards=*/1);
   cache.Put("a", "1");
   cache.Put("b", "2");
   ASSERT_TRUE(cache.Get("a").has_value());  // "b" is now least recent
@@ -44,7 +44,7 @@ TEST(ServeLruCacheTest, GetRefreshesRecency) {
 }
 
 TEST(ServeLruCacheTest, PutRefreshesRecencyAndOverwrites) {
-  ShardedLruCache cache(/*capacity=*/2, /*num_shards=*/1);
+  ShardedLruCache<std::string> cache(/*capacity=*/2, /*num_shards=*/1);
   cache.Put("a", "1");
   cache.Put("b", "2");
   cache.Put("a", "updated");  // refresh, no growth
@@ -55,7 +55,7 @@ TEST(ServeLruCacheTest, PutRefreshesRecencyAndOverwrites) {
 }
 
 TEST(ServeLruCacheTest, ShardingNeverExceedsTotalCapacity) {
-  ShardedLruCache cache(/*capacity=*/8, /*num_shards=*/4);
+  ShardedLruCache<std::string> cache(/*capacity=*/8, /*num_shards=*/4);
   EXPECT_EQ(cache.num_shards(), 4);
   for (int i = 0; i < 100; ++i) {
     cache.Put("key-" + std::to_string(i), std::to_string(i));
@@ -65,16 +65,16 @@ TEST(ServeLruCacheTest, ShardingNeverExceedsTotalCapacity) {
 }
 
 TEST(ServeLruCacheTest, ShardCountClampedToCapacity) {
-  ShardedLruCache cache(/*capacity=*/2, /*num_shards=*/16);
+  ShardedLruCache<std::string> cache(/*capacity=*/2, /*num_shards=*/16);
   EXPECT_LE(cache.num_shards(), 2);
-  ShardedLruCache tiny(/*capacity=*/0, /*num_shards=*/0);
+  ShardedLruCache<std::string> tiny(/*capacity=*/0, /*num_shards=*/0);
   EXPECT_EQ(tiny.num_shards(), 1);
   tiny.Put("a", "1");
   EXPECT_TRUE(tiny.Get("a").has_value());  // capacity clamps to 1
 }
 
 TEST(ServeLruCacheTest, StatsCountHitsMissesInsertionsEvictions) {
-  ShardedLruCache cache(/*capacity=*/2, /*num_shards=*/1);
+  ShardedLruCache<std::string> cache(/*capacity=*/2, /*num_shards=*/1);
   cache.Get("a");       // miss
   cache.Put("a", "1");  // insertion
   cache.Get("a");       // hit
@@ -91,7 +91,7 @@ TEST(ServeLruCacheTest, StatsCountHitsMissesInsertionsEvictions) {
 
 // Hammered from several threads; TSan (CI) checks the shard locking.
 TEST(ServeLruCacheTest, ConcurrentGetPutIsSafe) {
-  ShardedLruCache cache(/*capacity=*/64, /*num_shards=*/8);
+  ShardedLruCache<std::string> cache(/*capacity=*/64, /*num_shards=*/8);
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&cache, t] {
@@ -120,7 +120,7 @@ TEST(ServeLruCacheTest, MirrorsCountersIntoGlobalMetrics) {
   // even when other suites in this process also touch metrics.
   const std::string prefix = "test.lru_metrics_mirror";
   auto& metrics = obs::MetricsRegistry::Global();
-  ShardedLruCache cache(/*capacity=*/2, /*num_shards=*/1, prefix);
+  ShardedLruCache<std::string> cache(/*capacity=*/2, /*num_shards=*/1, prefix);
 
   EXPECT_FALSE(cache.Get("a").has_value());  // miss
   cache.Put("a", "1");                       // insertion
@@ -144,7 +144,7 @@ TEST(ServeLruCacheTest, MirrorsCountersIntoGlobalMetrics) {
 TEST(ServeLruCacheTest, NoPrefixMeansNoGlobalMetrics) {
   auto& metrics = obs::MetricsRegistry::Global();
   const uint64_t before = metrics.GetCounter("serve.cache.hits")->Value();
-  ShardedLruCache cache(/*capacity=*/2, /*num_shards=*/1);
+  ShardedLruCache<std::string> cache(/*capacity=*/2, /*num_shards=*/1);
   cache.Put("a", "1");
   EXPECT_TRUE(cache.Get("a").has_value());
   EXPECT_EQ(metrics.GetCounter("serve.cache.hits")->Value(), before);
