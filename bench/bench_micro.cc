@@ -245,23 +245,6 @@ std::vector<std::vector<int>> BeamBenchPrompts(int count) {
   return prompts;
 }
 
-// The legacy per-prompt beam search (autograd graph per hypothesis per
-// step); the comparison leg for BM_BeamDecodeBatch at the same beam width.
-void BM_BeamDecode(benchmark::State& state) {
-  Rng rng(16);
-  nn::Transformer model(BenchConfig(), &rng);
-  const auto prompts = BeamBenchPrompts(8);
-  const int width = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    for (const auto& prompt : prompts) {
-      benchmark::DoNotOptimize(model.BeamDecode(prompt, 12, width));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(prompts.size()));
-}
-BENCHMARK(BM_BeamDecode)->Arg(4);
-
 void BM_BeamDecodeBatch(benchmark::State& state, const char* provider) {
   ProviderScope scope(provider);
   Rng rng(16);

@@ -172,14 +172,6 @@ std::vector<RowPrediction> DttPipeline::TransformAllFixedBatch(
   auto run_job = [&](size_t ji) {
     const BatchJob& job = jobs[ji];
     TextToTextModel* model = models_[job.model].get();
-    if (batch_size == 1) {
-      // The original per-prompt path, bypassing batched decoding entirely.
-      const SlotRef& slot = job.slots[0];
-      outputs[slot.row][job.model][slot.trial] =
-          OutputOrAbstain(model->Transform(prompts[slot.row][job.model]
-                                                  [slot.trial]));
-      return;
-    }
     std::vector<Prompt> batch;
     batch.reserve(job.slots.size());
     for (const SlotRef& slot : job.slots) {

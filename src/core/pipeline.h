@@ -24,8 +24,9 @@ struct RowPrediction {
 struct PipelineOptions {
   DecomposerOptions decomposer;
   SerializerOptions serializer;
-  /// Prompts per TransformBatch dispatch in TransformAll. 1 forces the
-  /// per-prompt Transform path (the original serial behaviour).
+  /// Prompts per TransformBatch dispatch in TransformAll. Grouping changes
+  /// throughput, not predictions (int8 kernels aside, see
+  /// nn/kernel_provider.h).
   int batch_size = 16;
   /// Worker threads TransformAll shards prompt batches across. The
   /// serve-backed TransformAll gates per backend: thread-safe models share

@@ -31,7 +31,7 @@ class NeuralStreamDecoder : public TokenStreamDecoder {
   }
 
   Result<PreparedPrompt> Prepare(const Prompt& prompt) const override {
-    // Mirrors NeuralSeq2SeqModel::Transform validation exactly, so requests
+    // Mirrors NeuralSeq2SeqModel::ValidateAndEncode exactly, so requests
     // fail identically whichever path the scheduler routes them down.
     if (prompt.examples.empty()) {
       return Status::InvalidArgument(
@@ -123,26 +123,11 @@ Result<std::vector<int>> NeuralSeq2SeqModel::ValidateAndEncode(
 }
 
 Result<std::string> NeuralSeq2SeqModel::Transform(const Prompt& prompt) {
-  Result<std::vector<int>> input_ids = ValidateAndEncode(prompt);
-  if (!input_ids.ok()) return input_ids.status();
-  const int budget = EffectiveBudget(prompt);
-  // Both decodes run on the graph-free incremental engine; the batched beam
-  // path with a single prompt is bit-exact with the legacy per-prompt
-  // BeamDecode (nn_beam_test) and avoids its per-hypothesis graph rebuilds.
-  std::vector<int> out =
-      options_.beam_size > 1
-          ? model_->BeamDecodeBatch({input_ids.value()}, budget,
-                                    options_.beam_size)[0]
-          : model_->GreedyDecode(input_ids.value(), budget);
-  return tokenizer_.Decode(out);
+  return TransformBatch({prompt})[0];
 }
 
 std::vector<Result<std::string>> NeuralSeq2SeqModel::TransformBatch(
     const std::vector<Prompt>& prompts) {
-  // A batch of one gains nothing over the single-sequence decode.
-  if (prompts.size() <= 1) {
-    return TextToTextModel::TransformBatch(prompts);
-  }
   std::vector<Result<std::string>> results(
       prompts.size(), Result<std::string>(std::string()));
   std::vector<std::vector<int>> batch_ids;
@@ -162,7 +147,7 @@ std::vector<Result<std::string>> NeuralSeq2SeqModel::TransformBatch(
   if (options_.beam_size > 1) {
     // Beam pruning is not prefix-stable, so mixed budgets cannot share one
     // lockstep call: bucket by budget and run one batched decode per bucket
-    // (bit-exact with per-prompt Transform either way).
+    // (BeamDecodeBatch is bit-exact with per-prompt beam search).
     std::map<int, std::vector<size_t>> buckets;
     for (size_t j = 0; j < batch_ids.size(); ++j) {
       buckets[batch_budgets[j]].push_back(j);

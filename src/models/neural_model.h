@@ -29,13 +29,15 @@ class NeuralSeq2SeqModel : public TextToTextModel {
                      Serializer serializer, Options options = {});
 
   std::string name() const override { return "dtt-neural"; }
+  /// TransformBatch({prompt})[0]: a single prompt runs on the batched
+  /// engine as a batch of one.
   Result<std::string> Transform(const Prompt& prompt) override;
 
   /// Batched decode: valid prompts run through one lockstep decoder call —
   /// Transformer::GenerateBatch when greedy, Transformer::BeamDecodeBatch
   /// when beam_size > 1 — so beam requests micro-batch exactly like greedy
-  /// ones (bit-exact with per-prompt Transform); invalid prompts keep their
-  /// per-prompt error.
+  /// ones; invalid prompts keep their per-prompt error. A prompt's output
+  /// does not depend on its batch-mates.
   std::vector<Result<std::string>> TransformBatch(
       const std::vector<Prompt>& prompts) override;
 
@@ -58,7 +60,7 @@ class NeuralSeq2SeqModel : public TextToTextModel {
   /// Decode-step cap for one request: the prompt's own budget clamped to the
   /// configured maximum (0 = use the maximum).
   int EffectiveBudget(const Prompt& prompt) const;
-  /// Shared Transform-path validation: serialize or return the error.
+  /// Per-prompt validation: serialize or return the error.
   Result<std::vector<int>> ValidateAndEncode(const Prompt& prompt) const;
 
   std::shared_ptr<nn::Transformer> model_;

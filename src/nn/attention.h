@@ -22,9 +22,9 @@ class MultiHeadAttention : public Module {
   /// Projected keys/values of a (batched) key/value input. Computing the
   /// cache once and reusing it across decode steps avoids re-projecting the
   /// static encoder memory at every step of an incremental decode; the
-  /// graph-free engines (nn/infer.cc, nn/beam.cc) additionally share one
-  /// projection across all beam hypotheses — and all duplicate prompts — of
-  /// a batch via per-row base offsets into the cached rows.
+  /// graph-free engines (nn/decode_session.cc, nn/beam.cc) additionally
+  /// share one projection across all beam hypotheses — and all duplicate
+  /// prompts — of a batch via per-row base offsets into the cached rows.
   struct KvCache {
     Var k;  // [B*Tk, D]
     Var v;  // [B*Tk, D]

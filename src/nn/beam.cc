@@ -1,9 +1,9 @@
 // The graph-free batched beam-search engine behind
 // Transformer::BeamDecodeBatch.
 //
-// The legacy per-prompt BeamDecode (nn/transformer.cc) re-runs the autograd
-// DecodeLogits over every hypothesis's whole prefix at every step — one
-// graph build per hypothesis per step. This engine instead:
+// The per-prompt autograd beam search (tests/testing/reference_decode.cc)
+// re-runs DecodeLogits over every hypothesis's whole prefix at every step —
+// one graph build per hypothesis per step. This engine instead:
 //
 //   * encodes all prompts once (deduplicated: prompts with identical token
 //     ids share one encoder pass and one cross-attention K/V projection —
@@ -16,11 +16,11 @@
 //     hypothesis's KV prefix into a fresh slot by parent beam index
 //     (gather-on-beam-index), since several children may extend one parent.
 //
-// Scoring replicates the legacy arithmetic exactly — the same float
+// Scoring replicates the reference arithmetic exactly — the same float
 // log-softmax reads, the same double accumulations, the same
 // partial_sort/sort calls on identically ordered inputs — and the kernels
 // produce bit-identical logits, so the returned sequences are bit-exact with
-// per-prompt BeamDecode (enforced by nn_beam_test).
+// the per-prompt reference (enforced by nn_beam_test).
 #include <algorithm>
 #include <cassert>
 #include <cmath>
@@ -64,7 +64,7 @@ struct BeamLayerState {
   Tensor cross_v;    // [U*Tm, D]
 };
 
-// Process-wide beam-decode counters, resolved once (see infer.cc).
+// Process-wide beam-decode counters, resolved once.
 struct BeamMetrics {
   obs::Counter* calls;
   obs::Counter* prompts;
@@ -90,7 +90,8 @@ std::vector<std::vector<int>> Transformer::BeamDecodeBatch(
   std::vector<std::vector<int>> out(input_ids.size());
   if (num_prompts == 0 || max_steps <= 0) return out;
   const int width = std::max(1, beam_size);
-  // One provider for the whole decode (see GenerateBatch).
+  // One provider for the whole decode: resolved here so a concurrent
+  // SetActiveKernelProvider cannot mix kernels mid-sequence.
   const KernelProvider& kp = ActiveKernelProvider();
 
   // Deduplicate prompts: identical token sequences (e.g. repeated trials of
@@ -251,7 +252,7 @@ std::vector<std::vector<int>> Transformer::BeamDecodeBatch(
     AffineRows(kp, n, lm_head_, &logits);  // [rows, V]
     const int vocab = logits.cols();
 
-    // Per-prompt expansion + prune, replicating the legacy BeamDecode
+    // Per-prompt expansion + prune, replicating the reference beam search's
     // arithmetic and selection calls exactly (same float reads, same double
     // sums, same partial_sort/sort invocations on identically ordered
     // input), so scores and tie-breaks match the reference bit-for-bit.

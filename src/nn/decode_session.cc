@@ -1,18 +1,19 @@
-// The step-resumable decode engine behind continuous (token-level) batching.
-//
-// This is Transformer::GenerateBatch with its incremental state made
-// explicit and persistent: the same row-wise kernels (nn/infer_internal.h),
-// the same accumulation order, the same embed/attend/argmax step — but
-// sequences occupy stable KV-cache slots they can enter and leave mid-loop,
-// each carrying its own decoder position and step budget. Because every
-// kernel is row-wise, a sequence's tokens never depend on its batch-mates,
-// which is what makes the serve layer's continuous batcher bit-identical to
-// the run-to-completion path for every admission schedule
-// (nn_decode_session_test, serve_continuous_test).
+// The graph-free greedy decode engine. DecodeSession owns the incremental
+// decoder state as a persistent slotted KV-cache batch: each step feeds only
+// the newly generated token of every live sequence through the decoder,
+// attending over per-slot self-attention caches and the once-projected
+// encoder memory (cross-attention). The row-wise kernels live in
+// nn/infer_internal.h (shared with the beam engine in nn/beam.cc) and
+// mirror the autograd ops operation-for-operation, so a sequence's tokens
+// never depend on its batch-mates or admission time. That is what lets
+// GenerateBatch (one session sized to the batch, below), the model's
+// single-prompt Transform, and the serve layer's continuous batcher share
+// this one engine, checked against the autograd reference decoder in
+// tests/testing/reference_decode.cc (nn_batch_test, nn_decode_session_test,
+// serve_continuous_test).
 #include "nn/decode_session.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -23,6 +24,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "text/vocab.h"
+#include "util/logging.h"
 
 namespace dtt {
 namespace nn {
@@ -33,7 +35,25 @@ using internal::AffineRows;
 using internal::AttendRows;
 using internal::LayerNormRows;
 
-// Process-wide session counters, resolved once (see infer.cc).
+// Process-wide GenerateBatch counters/histograms, resolved once. Purely
+// observational: recording never feeds back into the decode.
+struct GenerateMetrics {
+  obs::Counter* calls;
+  obs::Counter* rows;
+  obs::Counter* steps;
+  obs::Histogram* batch_size;
+  static const GenerateMetrics& Get() {
+    static const GenerateMetrics m{
+        obs::GlobalMetrics().GetCounter("nn.generate.calls"),
+        obs::GlobalMetrics().GetCounter("nn.generate.rows"),
+        obs::GlobalMetrics().GetCounter("nn.generate.steps"),
+        obs::GlobalMetrics().GetHistogram("nn.generate.batch_size"),
+    };
+    return m;
+  }
+};
+
+// Process-wide session counters, resolved once.
 struct SessionMetrics {
   obs::Counter* sessions;
   obs::Counter* admitted;
@@ -57,6 +77,41 @@ std::unique_ptr<DecodeSession> Transformer::NewDecodeSession(
   return std::unique_ptr<DecodeSession>(new DecodeSession(this, options));
 }
 
+std::vector<std::vector<int>> Transformer::GenerateBatch(
+    const std::vector<std::vector<int>>& input_ids, int max_steps) const {
+  const int batch = static_cast<int>(input_ids.size());
+  if (batch == 0 || max_steps <= 0) {
+    return std::vector<std::vector<int>>(input_ids.size());
+  }
+  const GenerateMetrics& metrics = GenerateMetrics::Get();
+  metrics.calls->Increment();
+  metrics.rows->Add(batch);
+  metrics.batch_size->Record(batch);
+  obs::TraceSpan span("nn", "nn.generate_batch");
+  // Admit every row in one group (one shared encoder pass), then step until
+  // the last row finishes; finished rows leave the step batch at once.
+  DecodeSession session(this, {batch, max_steps});
+  if (span.enabled()) {
+    span.Arg("batch", static_cast<int64_t>(batch));
+    span.Arg("max_steps", static_cast<int64_t>(max_steps));
+    span.Arg("provider", session.kp_->name());
+  }
+  std::vector<DecodeSession::Admission> group;
+  group.reserve(input_ids.size());
+  for (const std::vector<int>& ids : input_ids) group.push_back({ids, 0});
+  const std::vector<int> handles = session.Admit(group);
+  while (session.stats().finished < static_cast<uint64_t>(batch)) {
+    session.Step();
+  }
+  const uint64_t steps = session.stats().steps;
+  metrics.steps->Add(steps);
+  span.Arg("steps", static_cast<int64_t>(steps));
+  std::vector<std::vector<int>> generated;
+  generated.reserve(handles.size());
+  for (int handle : handles) generated.push_back(session.output(handle));
+  return generated;
+}
+
 DecodeSession::DecodeSession(const Transformer* model,
                              DecodeSessionOptions options)
     : model_(model), options_(options), kp_(&ActiveKernelProvider()) {
@@ -64,7 +119,7 @@ DecodeSession::DecodeSession(const Transformer* model,
   max_slots_ = std::max(1, options_.max_slots);
   options_.max_steps = std::max(1, options_.max_steps);
   // Decoder positions are bounded by both the step budget and the model's
-  // hard length limit, exactly as in GenerateBatch (<sos> is position 0).
+  // hard length limit (<sos> is position 0).
   cap_ = std::min(options_.max_steps + 1, cfg.max_len);
   mem_cap_ = cfg.max_len;
   d_ = cfg.dim;
@@ -88,7 +143,7 @@ DecodeSession::DecodeSession(const Transformer* model,
 DecodeSession::~DecodeSession() = default;
 
 int DecodeSession::AllocHandle() {
-  assert(!free_handles_.empty());
+  DTT_CHECK(!free_handles_.empty());
   const int handle = free_handles_.back();
   free_handles_.pop_back();
   return handle;
@@ -106,20 +161,20 @@ void DecodeSession::FreePhys(int phys) {
 std::vector<int> DecodeSession::Admit(const std::vector<Admission>& group) {
   std::vector<int> handles;
   if (group.empty()) return handles;
-  assert(static_cast<int>(group.size()) <= free_slots());
+  DTT_CHECK(static_cast<int>(group.size()) <= free_slots());
   obs::TraceSpan span("nn", "nn.session_admit");
   if (span.enabled()) {
     span.Arg("group", static_cast<int64_t>(group.size()));
     span.Arg("active", static_cast<int64_t>(active_));
   }
 
-  // One shared padded encoder pass over the whole admission group — the
-  // exact encoder GenerateBatch runs, so each sequence's valid memory rows
-  // are bit-identical however the group is composed.
+  // One shared padded encoder pass over the whole admission group; the
+  // encoder is length-masked, so each sequence's valid memory rows are
+  // bit-identical however the group is composed.
   std::vector<std::vector<int>> inputs;
   inputs.reserve(group.size());
   for (const Admission& adm : group) {
-    assert(static_cast<int>(adm.input_ids.size()) <= mem_cap_);
+    DTT_CHECK(static_cast<int>(adm.input_ids.size()) <= mem_cap_);
     inputs.push_back(adm.input_ids);
   }
   PaddedBatch enc = PaddedBatch::Pack(inputs);
@@ -133,7 +188,7 @@ std::vector<int> DecodeSession::Admit(const std::vector<Admission>& group) {
   phys_rows.reserve(group.size());
   for (size_t g = 0; g < group.size(); ++g) {
     const int handle = AllocHandle();
-    assert(!free_phys_.empty());
+    DTT_CHECK(!free_phys_.empty());
     const int phys = free_phys_.back();
     free_phys_.pop_back();
     Slot& slot = slots_[static_cast<size_t>(handle)];
@@ -210,8 +265,8 @@ std::vector<int> DecodeSession::Step() {
         static_cast<size_t>(slot.phys) * self_stride;
     cross_bases_[static_cast<size_t>(r)] =
         static_cast<size_t>(slot.phys) * cross_stride;
-    // Attend over the slot's own prefix (positions 0..fed) — each sequence
-    // carries its own decoder position, unlike GenerateBatch's shared step.
+    // Attend over the slot's own prefix (positions 0..fed): each sequence
+    // carries its own decoder position.
     self_lens_[static_cast<size_t>(r)] = slot.fed + 1;
     cross_lens_[static_cast<size_t>(r)] = slot.mem_len;
     // Embed the slot's current token at its own position.
@@ -289,8 +344,8 @@ std::vector<int> DecodeSession::Step() {
     } else {
       slot.out.push_back(best);
       slot.cur_token = best;
-      // Same stopping rules as GenerateBatch: the prefix may not outgrow
-      // the model's length limit, and the sequence stops at its budget.
+      // The prefix may not outgrow the model's length limit, and the
+      // sequence stops at its budget.
       done = slot.fed + 2 >= mem_cap_ ||
              static_cast<int>(slot.out.size()) >= slot.budget;
     }
@@ -309,19 +364,19 @@ std::vector<int> DecodeSession::Step() {
 }
 
 bool DecodeSession::done(int slot) const {
-  assert(slot >= 0 && slot < max_slots_ &&
-         slots_[static_cast<size_t>(slot)].in_use);
+  DTT_CHECK(slot >= 0 && slot < max_slots_ &&
+            slots_[static_cast<size_t>(slot)].in_use);
   return slots_[static_cast<size_t>(slot)].done;
 }
 
 const std::vector<int>& DecodeSession::output(int slot) const {
-  assert(slot >= 0 && slot < max_slots_ &&
-         slots_[static_cast<size_t>(slot)].in_use);
+  DTT_CHECK(slot >= 0 && slot < max_slots_ &&
+            slots_[static_cast<size_t>(slot)].in_use);
   return slots_[static_cast<size_t>(slot)].out;
 }
 
 void DecodeSession::Release(int slot) {
-  assert(slot >= 0 && slot < max_slots_);
+  DTT_CHECK(slot >= 0 && slot < max_slots_);
   Slot& state = slots_[static_cast<size_t>(slot)];
   if (!state.in_use) return;
   if (state.phys >= 0) {

@@ -32,18 +32,17 @@ struct DecodeSessionStats {
   uint64_t compact_moves = 0;  // physical KV rows moved by Compact
 };
 
-/// The step-resumable form of Transformer::GenerateBatch: a persistent
-/// slotted KV-cache batch that sequences enter and leave mid-decode.
+/// The greedy decode engine: a persistent slotted KV-cache batch that
+/// sequences enter and leave mid-decode.
 ///
-/// GenerateBatch admits one fixed batch, runs it to completion, and throws
-/// its incremental state away. A DecodeSession owns that state explicitly —
-/// per-layer self-attention caches with one slot per resident sequence, the
+/// A session owns the incremental decoder state explicitly — per-layer
+/// self-attention caches with one slot per resident sequence, the
 /// once-projected cross-attention K/V of each sequence's encoder memory —
 /// and exposes the decode step loop:
 ///
 ///   * Admit() encodes a group of prompts in one padded EncodeBatch pass
-///     (exactly GenerateBatch's encoder) and installs each sequence in a
-///     free slot with its own decode-step budget;
+///     and installs each sequence in a free slot with its own decode-step
+///     budget;
 ///   * Step() advances every live sequence one token in lockstep, whatever
 ///     mix of admission times and prefix lengths they have, and reports the
 ///     sequences that finished (EOS, budget, or the model length cap);
@@ -53,15 +52,20 @@ struct DecodeSessionStats {
 ///     (the beam engine's gather-by-index move, nn/beam.cc), so a long-lived
 ///     session stays dense; slot handles are stable across compaction.
 ///
+/// Transformer::GenerateBatch is one session sized to its batch (admit all,
+/// step until every row is done); the serve layer's continuous batcher keeps
+/// one session alive across requests.
+///
 /// Determinism contract: every kernel this session runs is row-wise (the
 /// shared nn/infer_internal.h kernels), so a sequence's tokens depend only
 /// on its own prompt and budget — never on which other sequences share the
 /// batch or when they were admitted. For any admission/eviction schedule the
-/// per-sequence outputs are bit-identical to GreedyDecode / GenerateBatch
-/// under a row-order-preserving kernel provider (scalar, vec_f32; enforced
-/// by nn_decode_session_test). int8 quantizes activations per-tensor across
-/// the resident batch and trades this identity for throughput, exactly as it
-/// does for GenerateBatch.
+/// per-sequence outputs are bit-identical to the per-sequence autograd
+/// greedy decode under a row-order-preserving kernel provider (scalar,
+/// vec_f32; enforced by nn_decode_session_test and nn_batch_test). int8
+/// quantizes activations per-tensor across the rows of each step, so its
+/// outputs depend on the live batch (finished rows leave it) and are gated
+/// on accuracy, not pinned bit-for-bit.
 ///
 /// Not thread-safe: one session belongs to one decode thread (the serve
 /// layer gives each continuous backend its own).
@@ -81,7 +85,7 @@ class DecodeSession {
   /// Admits `group` into free slots through one shared padded encoder pass.
   /// Returns one stable slot handle per admission, in order. Requires
   /// group.size() <= free_slots() and every prompt within the model's input
-  /// length limit (callers validate; violations abort in debug builds).
+  /// length limit (callers validate; violations abort in every build).
   std::vector<int> Admit(const std::vector<Admission>& group);
 
   /// Single-sequence convenience overload.
@@ -93,6 +97,8 @@ class DecodeSession {
   std::vector<int> Step();
 
   /// True once `slot` has finished decoding (EOS, budget, or length cap).
+  /// `slot` must be an admitted, unreleased handle (checked here, in
+  /// output(), and range-checked in Release()).
   bool done(int slot) const;
 
   /// Generated token ids of `slot` so far (without <sos>/<eos>).

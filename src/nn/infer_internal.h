@@ -2,8 +2,9 @@
 #define DTT_NN_INFER_INTERNAL_H_
 
 // Shared row-wise kernels of the graph-free incremental decoder, used by both
-// the greedy engine (nn/infer.cc, Transformer::GenerateBatch) and the beam
-// engine (nn/beam.cc, Transformer::BeamDecodeBatch).
+// the greedy engine (nn/decode_session.cc: DecodeSession, and through it
+// Transformer::GenerateBatch) and the beam engine (nn/beam.cc,
+// Transformer::BeamDecodeBatch).
 //
 // Every kernel mirrors its autograd counterpart operation-for-operation —
 // same GEMM kernels (via the active KernelProvider, nn/kernel_provider.h),
@@ -11,8 +12,9 @@
 // through this path are bit-identical to the autograd DecodeLogits path
 // whenever the provider honors the scalar oracle's accumulation order
 // (scalar and vec_f32 do; int8 trades the identity for throughput and is
-// gated end-to-end instead). That identity is what lets the beam engine be
-// checked bit-for-bit against the per-prompt BeamDecode reference.
+// gated end-to-end instead). That identity is what lets both engines be
+// checked bit-for-bit against the autograd reference decoders in
+// tests/testing/reference_decode.cc.
 
 #include <algorithm>
 #include <cassert>

@@ -4,10 +4,10 @@
 // Runtime-pluggable GEMM kernel providers.
 //
 // Every matrix product in the system — autograd MatMul forward/backward
-// (nn/ops.cc), the graph-free decode engines (nn/infer.cc, nn/beam.cc via
-// AffineRows in nn/infer_internal.h), and therefore the trainer — routes
-// through the process-wide active KernelProvider. Three implementations are
-// registered:
+// (nn/ops.cc), the graph-free decode engines (nn/decode_session.cc,
+// nn/beam.cc via AffineRows in nn/infer_internal.h), and therefore the
+// trainer — routes through the process-wide active KernelProvider. Three
+// implementations are registered:
 //
 //   scalar   The original loops from nn/gemm.h, verbatim. This is the
 //            bit-exactness oracle: its accumulation order (including the
@@ -19,7 +19,8 @@
 //            zero-skip branch — on finite inputs the results are
 //            bit-identical to scalar (skipping `c += 0.0f * b` never
 //            changes c bitwise), so the engine parity contracts
-//            (GenerateBatch == GreedyDecode etc.) hold under this provider.
+//            (graph-free decode == autograd reference decode) hold under
+//            this provider.
 //   int8     Row-major symmetric per-tensor quantization (nn/quantize.h):
 //            weights are quantized once per revision at first use
 //            (Linear::PackedFor), activations per call; products accumulate

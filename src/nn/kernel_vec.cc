@@ -8,8 +8,8 @@
 // loops carry no zero-skip branch; skipping `c += 0.0f * b` is bitwise
 // neutral for finite inputs (and accumulators that are not -0.0), so these
 // kernels produce bit-identical results to scalar on every model path and
-// the engine parity contracts (GenerateBatch == GreedyDecode,
-// BeamDecodeBatch == BeamDecode) hold unchanged under this provider —
+// the engine parity contracts (GenerateBatch and BeamDecodeBatch == the
+// autograd reference decoders) hold unchanged under this provider —
 // nn_gemm_test asserts the bit-identity, the CI vec_f32 leg runs the whole
 // tier-1 suite on it.
 #include <cstddef>

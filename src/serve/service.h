@@ -61,8 +61,8 @@ struct ContinuousOptions {
 /// own queue so a slow neural backend and fast simulated backends overlap
 /// instead of convoying behind each other.
 struct BackendQueueOptions {
-  /// Coalesce up to this many pending prompts per TransformBatch dispatch.
-  /// 1 dispatches the per-prompt Transform path.
+  /// Coalesce up to this many pending prompts per TransformBatch dispatch
+  /// (1 = one prompt per dispatch).
   int max_batch = 16;
   /// How long a partial batch may wait for more prompts before it is
   /// flushed anyway (the dynamic micro-batch window). 0 = flush whatever is

@@ -1,6 +1,7 @@
 // Batched-vs-serial equivalence of the inference and training paths: the
 // padded, length-masked batch code must reproduce the single-sequence code
 // bit-for-bit (inference) or within float tolerance (gradients).
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "nn/trainer.h"
 #include "nn/transformer.h"
 #include "testing/matchers.h"
+#include "testing/reference_decode.h"
 #include "text/vocab.h"
 
 namespace dtt {
@@ -82,7 +84,7 @@ TEST(GenerateBatchTest, BitExactWithPerSequenceGreedyDecode) {
   std::vector<std::vector<int>> batched = model.GenerateBatch(inputs, 24);
   ASSERT_EQ(batched.size(), inputs.size());
   for (size_t b = 0; b < inputs.size(); ++b) {
-    EXPECT_EQ(batched[b], model.GreedyDecode(inputs[b], 24))
+    EXPECT_EQ(batched[b], reference_decode::GreedyDecode(model, inputs[b], 24))
         << "sequence " << b;
   }
 }
@@ -94,7 +96,7 @@ TEST(GenerateBatchTest, SingleSequenceBatchMatchesSerial) {
   std::vector<int> input = RandomIds(14, &data_rng);
   std::vector<std::vector<int>> batched = model.GenerateBatch({input}, 16);
   ASSERT_EQ(batched.size(), 1u);
-  EXPECT_EQ(batched[0], model.GreedyDecode(input, 16));
+  EXPECT_EQ(batched[0], reference_decode::GreedyDecode(model, input, 16));
 }
 
 TEST(GenerateBatchTest, EmptyBatchReturnsEmpty) {
@@ -196,6 +198,9 @@ TEST(BatchTrainerTest, SkipsOverLengthInstances) {
 
 // --- Model-level batching ---------------------------------------------------
 
+// Transform and TransformBatch share one engine, so besides agreeing with
+// each other every output must equal the autograd reference decode of the
+// serialized prompt, truncated to that prompt's own budget.
 TEST(NeuralModelBatchTest, TransformBatchMatchesPerPromptTransform) {
   Rng rng(101);
   auto transformer =
@@ -205,24 +210,44 @@ TEST(NeuralModelBatchTest, TransformBatchMatchesPerPromptTransform) {
   NeuralModelOptions nopts;
   nopts.max_output_tokens = 12;
   NeuralSeq2SeqModel model(transformer, Serializer(sopts), nopts);
+  const Serializer serializer(sopts);
+  const ByteTokenizer tokenizer;
   std::vector<Prompt> prompts;
-  for (const char* src : {"alpha", "beta-gamma", "de", "epsilon"}) {
+  // Per-prompt budgets: the model default, below it, and above it (clamped).
+  const char* sources[] = {"alpha", "beta-gamma", "de", "epsilon"};
+  const int budgets[] = {0, 3, 7, 40};
+  for (size_t i = 0; i < 4; ++i) {
     Prompt p;
     p.examples = {{"abc", "xyz"}, {"mno", "pqr"}};
-    p.source = src;
+    p.source = sources[i];
+    p.max_output_tokens = budgets[i];
     prompts.push_back(std::move(p));
   }
   Prompt invalid;  // no examples -> InvalidArgument in both paths
   prompts.push_back(invalid);
-  std::vector<Result<std::string>> batched = model.TransformBatch(prompts);
-  ASSERT_EQ(batched.size(), prompts.size());
-  for (size_t i = 0; i < prompts.size(); ++i) {
-    Result<std::string> serial = model.Transform(prompts[i]);
-    ASSERT_EQ(batched[i].ok(), serial.ok()) << "prompt " << i;
-    if (serial.ok()) {
+
+  for (const std::vector<Prompt>& batch :
+       {prompts, std::vector<Prompt>{prompts[1]}}) {
+    std::vector<Result<std::string>> batched = model.TransformBatch(batch);
+    ASSERT_EQ(batched.size(), batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      Result<std::string> serial = model.Transform(batch[i]);
+      ASSERT_EQ(batched[i].ok(), serial.ok()) << "prompt " << i;
+      if (!serial.ok()) {
+        EXPECT_EQ(batched[i].status().code(), serial.status().code());
+        continue;
+      }
       EXPECT_EQ(batched[i].value(), serial.value()) << "prompt " << i;
-    } else {
-      EXPECT_EQ(batched[i].status().code(), serial.status().code());
+      const int own = batch[i].max_output_tokens;
+      const size_t budget = static_cast<size_t>(
+          own > 0 ? std::min(own, nopts.max_output_tokens)
+                  : nopts.max_output_tokens);
+      std::vector<int> reference = reference_decode::GreedyDecode(
+          *transformer, serializer.EncodePrompt(batch[i]),
+          nopts.max_output_tokens);
+      if (reference.size() > budget) reference.resize(budget);
+      EXPECT_EQ(batched[i].value(), tokenizer.Decode(reference))
+          << "prompt " << i;
     }
   }
 }

@@ -1,9 +1,10 @@
-// DecodeSession pinned to the GenerateBatch/GreedyDecode goldens: the
-// step-resumable slotted engine must reproduce the retained run-to-completion
-// decoders bit-for-bit under every admission schedule — single slot ==
-// greedy, group admits == the fixed batch, interleaved mid-decode admits ==
-// the same sequences in any batch permutation — and keep that identity
-// across mid-decode eviction, slot reuse, and KV compaction.
+// DecodeSession pinned to the autograd reference decoder
+// (testing/reference_decode.h): the step-resumable slotted engine must
+// reproduce per-sequence greedy decoding bit-for-bit under every admission
+// schedule — single slot == greedy, group admits == the fixed batch,
+// interleaved mid-decode admits == the same sequences in any batch
+// permutation — and keep that identity across mid-decode eviction, slot
+// reuse, and KV compaction. Its preconditions abort in every build type.
 #include <algorithm>
 #include <memory>
 #include <vector>
@@ -12,6 +13,7 @@
 
 #include "nn/decode_session.h"
 #include "nn/transformer.h"
+#include "testing/reference_decode.h"
 #include "text/vocab.h"
 #include "util/rng.h"
 
@@ -60,7 +62,8 @@ TEST(DecodeSessionTest, SingleSlotMatchesGreedyDecode) {
   auto session = model.NewDecodeSession({4, 24});
   const int handle = session->Admit(input);
   RunToDone(session.get(), {handle});
-  EXPECT_EQ(session->output(handle), model.GreedyDecode(input, 24));
+  EXPECT_EQ(session->output(handle),
+            reference_decode::GreedyDecode(model, input, 24));
   EXPECT_EQ(session->stats().admitted, 1u);
   EXPECT_EQ(session->stats().finished, 1u);
 }
@@ -117,8 +120,9 @@ TEST(DecodeSessionTest, PerSlotBudgetMatchesBudgetedGreedy) {
   const int hlo = session->Admit(lo, 5);  // per-slot budget below the cap
   const int hhi = session->Admit(hi);     // session default (32)
   RunToDone(session.get(), {hlo, hhi});
-  EXPECT_EQ(session->output(hlo), model.GreedyDecode(lo, 5));
-  EXPECT_EQ(session->output(hhi), model.GreedyDecode(hi, 32));
+  EXPECT_EQ(session->output(hlo), reference_decode::GreedyDecode(model, lo, 5));
+  EXPECT_EQ(session->output(hhi),
+            reference_decode::GreedyDecode(model, hi, 32));
   EXPECT_LE(session->output(hlo).size(), 5u);
 }
 
@@ -137,8 +141,10 @@ TEST(DecodeSessionTest, EvictMidDecodeLeavesOthersBitExact) {
   EXPECT_EQ(session->stats().evictions, 1u);
   EXPECT_EQ(session->active_slots(), 2);
   RunToDone(session.get(), {handles[0], handles[2]});
-  EXPECT_EQ(session->output(handles[0]), model.GreedyDecode(a, 24));
-  EXPECT_EQ(session->output(handles[2]), model.GreedyDecode(c, 24));
+  EXPECT_EQ(session->output(handles[0]),
+            reference_decode::GreedyDecode(model, a, 24));
+  EXPECT_EQ(session->output(handles[2]),
+            reference_decode::GreedyDecode(model, c, 24));
 }
 
 TEST(DecodeSessionTest, CompactMovesRowsAndPreservesOutputs) {
@@ -159,8 +165,10 @@ TEST(DecodeSessionTest, CompactMovesRowsAndPreservesOutputs) {
   EXPECT_GT(session->stats().compact_moves, 0u);
   // Handles are stable across compaction and the decode continues bit-exact.
   RunToDone(session.get(), {handles[0], handles[2]});
-  EXPECT_EQ(session->output(handles[0]), model.GreedyDecode(a, 24));
-  EXPECT_EQ(session->output(handles[2]), model.GreedyDecode(c, 24));
+  EXPECT_EQ(session->output(handles[0]),
+            reference_decode::GreedyDecode(model, a, 24));
+  EXPECT_EQ(session->output(handles[2]),
+            reference_decode::GreedyDecode(model, c, 24));
 }
 
 TEST(DecodeSessionTest, SlotReuseAfterReleaseMatchesFreshDecode) {
@@ -174,7 +182,8 @@ TEST(DecodeSessionTest, SlotReuseAfterReleaseMatchesFreshDecode) {
   std::vector<int> first = session->Admit({{a, 0}, {b, 0}});
   EXPECT_EQ(session->free_slots(), 0);
   RunToDone(session.get(), first);
-  EXPECT_EQ(session->output(first[0]), model.GreedyDecode(a, 16));
+  EXPECT_EQ(session->output(first[0]),
+            reference_decode::GreedyDecode(model, a, 16));
   session->Release(first[0]);
   session->Release(first[1]);
   EXPECT_EQ(session->free_slots(), 2);
@@ -184,8 +193,10 @@ TEST(DecodeSessionTest, SlotReuseAfterReleaseMatchesFreshDecode) {
   const std::vector<int> d = RandomIds(3, &data_rng);
   std::vector<int> second = session->Admit({{c, 0}, {d, 0}});
   RunToDone(session.get(), second);
-  EXPECT_EQ(session->output(second[0]), model.GreedyDecode(c, 16));
-  EXPECT_EQ(session->output(second[1]), model.GreedyDecode(d, 16));
+  EXPECT_EQ(session->output(second[0]),
+            reference_decode::GreedyDecode(model, c, 16));
+  EXPECT_EQ(session->output(second[1]),
+            reference_decode::GreedyDecode(model, d, 16));
   EXPECT_EQ(session->stats().admitted, 4u);
   EXPECT_EQ(session->stats().admit_groups, 2u);
 }
@@ -196,6 +207,45 @@ TEST(DecodeSessionTest, StepOnEmptySessionReturnsNothing) {
   auto session = model.NewDecodeSession({2, 8});
   EXPECT_TRUE(session->Step().empty());
   EXPECT_EQ(session->stats().steps, 0u);
+}
+
+// Preconditions are checked in every build type, not only under assert:
+// an over-length prompt would otherwise overrun its slot's cross-attention
+// cache, and an over-full group would run out of KV rows.
+TEST(DecodeSessionDeathTest, OverLengthInputAborts) {
+  Rng rng(3181);
+  nn::Transformer model(TinyConfig(), &rng);
+  Rng data_rng(3182);
+  const std::vector<int> too_long =
+      RandomIds(model.config().max_len + 1, &data_rng);
+  auto session = model.NewDecodeSession({2, 8});
+  EXPECT_DEATH(session->Admit(too_long), "CHECK failed");
+  EXPECT_DEATH(model.GenerateBatch({too_long}, 8), "CHECK failed");
+}
+
+TEST(DecodeSessionDeathTest, GroupLargerThanFreeSlotsAborts) {
+  Rng rng(3191);
+  nn::Transformer model(TinyConfig(), &rng);
+  Rng data_rng(3192);
+  const std::vector<int> a = RandomIds(5, &data_rng);
+  auto session = model.NewDecodeSession({2, 8});
+  EXPECT_DEATH(session->Admit({{a, 0}, {a, 0}, {a, 0}}), "free_slots");
+  session->Admit(a);
+  EXPECT_DEATH(session->Admit({{a, 0}, {a, 0}}), "free_slots");
+}
+
+TEST(DecodeSessionDeathTest, InvalidSlotHandleAborts) {
+  Rng rng(3201);
+  nn::Transformer model(TinyConfig(), &rng);
+  Rng data_rng(3202);
+  auto session = model.NewDecodeSession({2, 8});
+  const int handle = session->Admit(RandomIds(5, &data_rng));
+  session->Release(handle);
+  // Released, never admitted, and out-of-range handles.
+  EXPECT_DEATH(session->done(handle), "CHECK failed");
+  EXPECT_DEATH(session->output(1), "CHECK failed");
+  EXPECT_DEATH(session->output(-1), "CHECK failed");
+  EXPECT_DEATH(session->Release(2), "CHECK failed");
 }
 
 }  // namespace

@@ -25,6 +25,7 @@
 #include "nn/trainer.h"
 #include "nn/transformer.h"
 #include "testing/matchers.h"
+#include "testing/reference_decode.h"
 #include "text/serializer.h"
 #include "text/vocab.h"
 #include "util/rng.h"
@@ -352,7 +353,9 @@ TEST(VecF32Provider, EngineParityContractsHold) {
   EXPECT_EQ(model.BeamDecodeBatch(prompts, 10, 4), kGoldenBeam);
   // ...and the batched-vs-serial engine parity holds per provider.
   std::vector<std::vector<int>> serial;
-  for (const auto& p : prompts) serial.push_back(model.GreedyDecode(p, 10));
+  for (const auto& p : prompts) {
+    serial.push_back(reference_decode::GreedyDecode(model, p, 10));
+  }
   EXPECT_EQ(model.GenerateBatch(prompts, 10), serial);
 }
 

@@ -117,7 +117,7 @@ TEST(TransformerTest, DecodeLogitsShape) {
 TEST(TransformerTest, GreedyDecodeTerminates) {
   Rng rng(7);
   Transformer model(TinyConfig(), &rng);
-  auto out = model.GreedyDecode({1, 10, 2}, /*max_steps=*/8);
+  auto out = model.GenerateBatch({{1, 10, 2}}, /*max_steps=*/8)[0];
   EXPECT_LE(out.size(), 8u);
   for (int id : out) {
     EXPECT_GE(id, 0);
@@ -128,8 +128,8 @@ TEST(TransformerTest, GreedyDecodeTerminates) {
 TEST(TransformerTest, BeamDecodeDeterministicAndBounded) {
   Rng rng(8);
   Transformer model(TinyConfig(), &rng);
-  auto a = model.BeamDecode({1, 10, 2}, 6, 3);
-  auto b = model.BeamDecode({1, 10, 2}, 6, 3);
+  auto a = model.BeamDecodeBatch({{1, 10, 2}}, 6, 3)[0];
+  auto b = model.BeamDecodeBatch({{1, 10, 2}}, 6, 3)[0];
   EXPECT_EQ(a, b);
   EXPECT_LE(a.size(), 6u);
 }

@@ -452,15 +452,18 @@ TEST_F(ObsTraceTest, TracedDecodeIsBitExactWithUntraced) {
   EXPECT_EQ(beam_traced, beam_ref);
 
   const JsonValue doc = ParseTraceFile(path);
-  int generate = 0, generate_steps = 0, beam = 0, beam_steps = 0;
+  int generate = 0, beam = 0, beam_steps = 0;
+  const JsonValue* generate_span = nullptr;
+  std::vector<const JsonValue*> session_steps;
   for (const auto& e : doc.at("traceEvents").items) {
     const std::string name = e.at("name").str;
     if (name == "nn.generate_batch") {
       ++generate;
+      generate_span = &e;
       EXPECT_EQ(e.at("args").at("batch").number, 3.0);
       EXPECT_FALSE(e.at("args").at("provider").str.empty());
     }
-    if (name == "nn.generate_step") ++generate_steps;
+    if (name == "nn.session_step") session_steps.push_back(&e);
     if (name == "nn.beam_batch") {
       ++beam;
       EXPECT_EQ(e.at("args").at("width").number, 2.0);
@@ -468,7 +471,25 @@ TEST_F(ObsTraceTest, TracedDecodeIsBitExactWithUntraced) {
     if (name == "nn.beam_step") ++beam_steps;
   }
   EXPECT_EQ(generate, 1);
+  ASSERT_NE(generate_span, nullptr);
+  // GenerateBatch runs one DecodeSession: one nn.session_step span per
+  // decode step, each nested inside the nn.generate_batch span (up to the
+  // document's 1 ns rounding of ts and dur).
+  constexpr double kRoundUs = 0.002;
+  const double g0 = generate_span->at("ts").number - kRoundUs;
+  const double g1 = generate_span->at("ts").number +
+                    generate_span->at("dur").number + kRoundUs;
+  int generate_steps = 0;
+  for (const JsonValue* step : session_steps) {
+    const double s0 = step->at("ts").number;
+    const double s1 = s0 + step->at("dur").number;
+    if (step->at("tid").number == generate_span->at("tid").number &&
+        s0 >= g0 && s1 <= g1) {
+      ++generate_steps;
+    }
+  }
   EXPECT_GT(generate_steps, 0);
+  EXPECT_EQ(generate_steps, generate_span->at("args").at("steps").number);
   EXPECT_EQ(beam, 1);
   EXPECT_GT(beam_steps, 0);
 }

@@ -102,7 +102,7 @@ TEST(ServeServiceTest, BitIdenticalToFixedBatchAcrossConfigs) {
       {4, 4, 2, 0.0, 64, true},   // threaded, same queues
       {1, 7, 16, 0.5, 8, false},  // micro-batch window, tight admission
       {4, 7, 16, 0.5, 8, true},   // threaded + window + cache
-      {4, 1, 1, 0.0, 64, true},   // per-prompt Transform path
+      {4, 1, 1, 0.0, 64, true},   // one prompt per dispatch
   };
   for (const Config& config : configs) {
     ServeOptions sopts;
