@@ -10,7 +10,6 @@
 namespace dtt {
 namespace nn {
 
-class KernelProvider;
 class Transformer;
 
 /// Session construction knobs (see Transformer::NewDecodeSession).
@@ -61,11 +60,8 @@ struct DecodeSessionStats {
 /// on its own prompt and budget — never on which other sequences share the
 /// batch or when they were admitted. For any admission/eviction schedule the
 /// per-sequence outputs are bit-identical to the per-sequence autograd
-/// greedy decode under a row-order-preserving kernel provider (scalar,
-/// vec_f32; enforced by nn_decode_session_test and nn_batch_test). int8
-/// quantizes activations per-tensor across the rows of each step, so its
-/// outputs depend on the live batch (finished rows leave it) and are gated
-/// on accuracy, not pinned bit-for-bit.
+/// greedy decode, because both run the same nn/gemm.h loops in the same
+/// per-row order (enforced by nn_decode_session_test and nn_batch_test).
 ///
 /// Not thread-safe: one session belongs to one decode thread (the serve
 /// layer gives each continuous backend its own).
@@ -145,7 +141,6 @@ class DecodeSession {
 
   const Transformer* model_;
   DecodeSessionOptions options_;
-  const KernelProvider* kp_;  // resolved once; the session never mixes kernels
   int max_slots_ = 0;
   int cap_ = 0;      // self-cache positions per slot
   int mem_cap_ = 0;  // cross-cache rows per slot (the model's max_len)

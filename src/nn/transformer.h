@@ -148,8 +148,7 @@ class Transformer : public Module {
   /// Creates a step-resumable greedy decode session over this model: a
   /// persistent slotted KV-cache batch that sequences enter and leave
   /// mid-decode (continuous batching). Per-sequence outputs are
-  /// independent of the admission schedule under a row-order-preserving
-  /// kernel provider; see nn/decode_session.h.
+  /// independent of the admission schedule; see nn/decode_session.h.
   std::unique_ptr<DecodeSession> NewDecodeSession(
       DecodeSessionOptions options = {}) const;
 
