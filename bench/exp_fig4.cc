@@ -2,8 +2,8 @@
 // function of the number of training samples, for models trained on
 // shorter-length vs longer-length data.
 //
-// Substitution note (DESIGN.md §1): the paper fine-tunes ByT5-base on up to
-// 10,000 transformation groupings on GPU; here the from-scratch CPU
+// Substitution note (docs/design.md §1): the paper fine-tunes ByT5-base on
+// up to 10,000 transformation groupings on GPU; here the from-scratch CPU
 // transformer trains on a miniature grid. The *shape* reproduced: F1 rises
 // steeply from the untrained model, plateaus after enough groupings, and the
 // longer-length regime does not help at short evaluation lengths (§5.8).
@@ -135,7 +135,7 @@ int Main() {
   auto ctx = bench::BeginExperiment(
       "exp_fig4",
       "Figure 4 (a-d): neural model vs #training groupings "
-      "(mini scale; see DESIGN.md §1)",
+      "(mini scale; see docs/design.md §1)",
       /*default_row_scale=*/1.0, kSeed);
   const int epochs = bench::IntFromEnv("DTT_FIG4_EPOCHS", 2);
   auto grid = bench::IntListFromEnv("DTT_FIG4_GROUPS", {0, 20, 80, 200});

@@ -1,6 +1,6 @@
 // Load generator for the transformation-serving subsystem (src/serve/):
-//  (a) the PR 2 fixed-batch offline path (TransformAllFixedBatch) as the
-//      baseline — one shared pool, fixed batches, no cache;
+//  (a) the offline path (DttPipeline::TransformAll) as the baseline —
+//      fixed batch_size batches on one shared pool, no cache;
 //  (b) closed-loop serving: the same request stream through a
 //      TransformService with per-backend micro-batch queues and the
 //      prompt-dedup LRU cache, predictions asserted bit-identical to (a);
@@ -127,22 +127,22 @@ int Main() {
   popts.num_threads = 2;
   DttPipeline pipeline(models, popts);
 
-  // (a) The PR 2 fixed-batch path on the full request stream.
-  PrintBanner("(a) fixed-batch offline baseline (PR 2 path)");
-  double fixed_rows_per_sec = 0.0;
-  std::vector<RowPrediction> fixed_rows;
+  // (a) The offline TransformAll on the full request stream.
+  PrintBanner("(a) offline TransformAll baseline");
+  double offline_rows_per_sec = 0.0;
+  std::vector<RowPrediction> offline_rows;
   {
     Rng rng(kSeed + 2);
     Stopwatch timer;
-    fixed_rows = pipeline.TransformAllFixedBatch(requests, examples, &rng);
+    offline_rows = pipeline.TransformAll(requests, examples, &rng);
     const double seconds = timer.Seconds();
-    fixed_rows_per_sec = static_cast<double>(fixed_rows.size()) / seconds;
-    std::printf("%zu rows in %.3f s -> %.2f rows/s\n", fixed_rows.size(),
-                seconds, fixed_rows_per_sec);
-    report.AddRun("fixed_batch")
+    offline_rows_per_sec = static_cast<double>(offline_rows.size()) / seconds;
+    std::printf("%zu rows in %.3f s -> %.2f rows/s\n", offline_rows.size(),
+                seconds, offline_rows_per_sec);
+    report.AddRun("offline")
         .Set("seconds", seconds)
-        .Set("rows", static_cast<int64_t>(fixed_rows.size()))
-        .Set("rows_per_sec", fixed_rows_per_sec)
+        .Set("rows", static_cast<int64_t>(offline_rows.size()))
+        .Set("rows_per_sec", offline_rows_per_sec)
         .Set("batch_size", popts.batch_size)
         .Set("num_threads", popts.num_threads);
   }
@@ -169,14 +169,14 @@ int Main() {
 
     size_t mismatches = 0;
     for (size_t r = 0; r < rows.size(); ++r) {
-      if (rows[r].prediction != fixed_rows[r].prediction) ++mismatches;
+      if (rows[r].prediction != offline_rows[r].prediction) ++mismatches;
     }
     const serve::ServiceStats stats = service.stats();
-    const double speedup = fixed_rows_per_sec > 0.0
-                               ? service_rows_per_sec / fixed_rows_per_sec
+    const double speedup = offline_rows_per_sec > 0.0
+                               ? service_rows_per_sec / offline_rows_per_sec
                                : 0.0;
     std::printf(
-        "%zu rows in %.3f s -> %.2f rows/s (%.2fx vs fixed batch), "
+        "%zu rows in %.3f s -> %.2f rows/s (%.2fx vs offline), "
         "%zu prediction mismatches\n",
         rows.size(), seconds, service_rows_per_sec, speedup, mismatches);
     std::printf("cache: %llu hits / %llu misses (rate %.2f), dedup joins "
@@ -196,7 +196,7 @@ int Main() {
         .Set("seconds", seconds)
         .Set("rows", static_cast<int64_t>(rows.size()))
         .Set("rows_per_sec", service_rows_per_sec)
-        .Set("speedup_vs_fixed", speedup)
+        .Set("speedup_vs_offline", speedup)
         .Set("cache_hits", static_cast<int64_t>(stats.cache.hits))
         .Set("cache_misses", static_cast<int64_t>(stats.cache.misses))
         .Set("cache_hit_rate", stats.cache.HitRate())
@@ -204,8 +204,8 @@ int Main() {
         .Set("prediction_mismatches", static_cast<int64_t>(mismatches));
     if (mismatches != 0) {
       std::fprintf(stderr,
-                   "FAIL: service predictions diverge from the fixed-batch "
-                   "path\n");
+                   "FAIL: service predictions diverge from the offline "
+                   "TransformAll\n");
       return 1;
     }
   }
@@ -566,7 +566,7 @@ int Main() {
     };
 
     // Closed loop, both paths: the determinism contract (per-request outputs
-    // byte-identical to the retained fixed-batch path) plus the fixed
+    // byte-identical to the fixed micro-batching path) plus the fixed
     // throughput that anchors the open-loop offered rate.
     std::vector<std::string> fixed_preds;
     double tail_fixed_rows_per_sec = 0.0;

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <future>
+#include <iterator>
 
 #include "obs/trace.h"
-#include "serve/service.h"
 #include "util/thread_pool.h"
 
 namespace dtt {
@@ -64,118 +63,76 @@ std::vector<RowPrediction> DttPipeline::TransformAll(
     span.Arg("batch_size", static_cast<int64_t>(options_.batch_size));
     span.Arg("threads", static_cast<int64_t>(options_.num_threads));
   }
-  serve::ServeOptions sopts;
-  sopts.decomposer = options_.decomposer;
-  // One draw seeds the service's per-request streams — the same single draw
-  // (and the same Fork(row).Fork(model) streams) as the fixed-batch path, so
-  // repeated calls with one Rng stay independent and predictions match
-  // TransformAllFixedBatch bit-for-bit.
-  sopts.seed = rng->Next();
-  sopts.num_threads = options_.num_threads;
-  serve::BackendQueueOptions queue_opts;
-  queue_opts.max_batch = options_.batch_size;
-  queue_opts.max_wait_ms = 0.0;
-  sopts.backends.assign(models_.size(), queue_opts);
-  sopts.max_pending_rows = std::max<size_t>(1, sources.size());
-  // Enqueue the whole table before cutting batches, so offline batches fill
-  // to max_batch exactly as the fixed-batch path groups them.
-  sopts.start_paused = true;
-  serve::TransformService service(models_, sopts);
-
-  std::vector<std::future<RowPrediction>> futures;
-  futures.reserve(sources.size());
-  for (const std::string& source : sources) {
-    // Cannot be rejected: max_pending_rows covers the whole table.
-    futures.push_back(service.Submit(source, examples).value());
-  }
-  service.Start();
-  std::vector<RowPrediction> out;
-  out.reserve(futures.size());
-  for (auto& future : futures) out.push_back(future.get());
-  return out;
-}
-
-std::vector<RowPrediction> DttPipeline::TransformAllFixedBatch(
-    const std::vector<std::string>& sources,
-    const std::vector<ExamplePair>& examples, Rng* rng) const {
-  obs::TraceSpan span("pipeline", "pipeline.transform_all_fixed");
-  if (span.enabled()) {
-    span.Arg("rows", static_cast<int64_t>(sources.size()));
-    span.Arg("models", static_cast<int64_t>(models_.size()));
-    span.Arg("batch_size", static_cast<int64_t>(options_.batch_size));
-    span.Arg("threads", static_cast<int64_t>(options_.num_threads));
-  }
   const size_t num_rows = sources.size();
   const size_t num_models = models_.size();
 
   // Phase 1: materialize every (row, model, trial) prompt. One draw from the
   // caller's stream seeds a per-call base generator — so repeated calls with
-  // the same Rng object stay independent — and row r's contexts come from
-  // base.Fork(r) (model m from a sub-fork), a pure function of that draw.
-  // The prompt set is therefore fixed before any dispatch and independent of
-  // batch size, thread count, and scheduling.
-  Rng base_rng(rng->Next());
-  std::vector<std::vector<std::vector<Prompt>>> prompts(num_rows);
-  for (size_t r = 0; r < num_rows; ++r) {
-    Rng row_rng = base_rng.Fork(static_cast<uint64_t>(r));
-    prompts[r].resize(num_models);
-    for (size_t m = 0; m < num_models; ++m) {
-      Rng model_rng = row_rng.Fork(static_cast<uint64_t>(m));
-      prompts[r][m] = decomposer_.MakePrompts(sources[r], examples,
-                                              &model_rng);
-    }
-  }
-
-  // Phase 2: flatten into per-model batches of at most batch_size prompts
-  // and dispatch. Each batch writes to disjoint output slots, so parallel
-  // execution is deterministic.
-  struct SlotRef {
-    size_t row;
-    size_t trial;
-  };
-  struct BatchJob {
-    size_t model;
-    std::vector<SlotRef> slots;
-  };
-  std::vector<std::vector<std::vector<std::string>>> outputs(num_rows);
-  for (size_t r = 0; r < num_rows; ++r) {
-    outputs[r].resize(num_models);
-    for (size_t m = 0; m < num_models; ++m) {
-      outputs[r][m].resize(prompts[r][m].size());
-    }
-  }
-  const size_t batch_size =
-      static_cast<size_t>(std::max(1, options_.batch_size));
-  std::vector<BatchJob> jobs;
-  for (size_t m = 0; m < num_models; ++m) {
-    BatchJob job{m, {}};
+  // the same Rng object stay independent — and row r's contexts for model m
+  // come from base.Fork(r).Fork(m), a pure function of that draw (the same
+  // streams serve::TransformService gives request r). The prompt set is
+  // therefore fixed before any dispatch and independent of batch size,
+  // thread count and scheduling. Each model's prompts are laid out flat in
+  // (row, trial) order; row_end[m][r] is one past row r's last slot.
+  std::vector<std::vector<Prompt>> prompts(num_models);
+  std::vector<std::vector<size_t>> row_end(num_models);
+  {
+    obs::TraceSpan decompose_span("pipeline", "pipeline.decompose");
+    const Rng base_rng(rng->Next());
+    for (size_t m = 0; m < num_models; ++m) row_end[m].reserve(num_rows);
     for (size_t r = 0; r < num_rows; ++r) {
-      for (size_t t = 0; t < prompts[r][m].size(); ++t) {
-        job.slots.push_back({r, t});
-        if (job.slots.size() == batch_size) {
-          jobs.push_back(std::move(job));
-          job = BatchJob{m, {}};
+      const Rng row_rng = base_rng.Fork(static_cast<uint64_t>(r));
+      for (size_t m = 0; m < num_models; ++m) {
+        Rng model_rng = row_rng.Fork(static_cast<uint64_t>(m));
+        for (Prompt& prompt :
+             decomposer_.MakePrompts(sources[r], examples, &model_rng)) {
+          prompts[m].push_back(std::move(prompt));
         }
+        row_end[m].push_back(prompts[m].size());
       }
     }
-    if (!job.slots.empty()) jobs.push_back(std::move(job));
+    if (decompose_span.enabled()) {
+      size_t total = 0;
+      for (const auto& model_prompts : prompts) total += model_prompts.size();
+      decompose_span.Arg("prompts", static_cast<int64_t>(total));
+    }
   }
 
+  // Phase 2: cut each model's slots into batches of at most batch_size and
+  // dispatch. Each batch writes disjoint output slots, so any execution
+  // order gives the same outputs. Batches run on the calling thread unless
+  // num_threads > 1 and every attached model is thread_safe().
+  struct BatchJob {
+    size_t model;
+    size_t begin;
+    size_t end;
+  };
+  const size_t batch_size =
+      static_cast<size_t>(std::max(1, options_.batch_size));
+  std::vector<std::vector<std::string>> outputs(num_models);
+  std::vector<BatchJob> jobs;
+  for (size_t m = 0; m < num_models; ++m) {
+    outputs[m].resize(prompts[m].size());
+    for (size_t begin = 0; begin < prompts[m].size(); begin += batch_size) {
+      jobs.push_back(
+          {m, begin, std::min(begin + batch_size, prompts[m].size())});
+    }
+  }
   auto run_job = [&](size_t ji) {
     const BatchJob& job = jobs[ji];
-    TextToTextModel* model = models_[job.model].get();
-    std::vector<Prompt> batch;
-    batch.reserve(job.slots.size());
-    for (const SlotRef& slot : job.slots) {
-      batch.push_back(prompts[slot.row][job.model][slot.trial]);
-    }
-    std::vector<Result<std::string>> results = model->TransformBatch(batch);
-    for (size_t i = 0; i < job.slots.size(); ++i) {
-      const SlotRef& slot = job.slots[i];
-      outputs[slot.row][job.model][slot.trial] = OutputOrAbstain(results[i]);
+    std::vector<Prompt>& model_prompts = prompts[job.model];
+    const std::vector<Prompt> batch(
+        std::make_move_iterator(model_prompts.begin() + job.begin),
+        std::make_move_iterator(model_prompts.begin() + job.end));
+    const std::vector<Result<std::string>> results =
+        models_[job.model]->TransformBatch(batch);
+    // A backend that returns fewer results than prompts abstains on the
+    // missing tail, exactly as the service's RunBatch treats it.
+    for (size_t i = 0; i < batch.size(); ++i) {
+      outputs[job.model][job.begin + i] =
+          i < results.size() ? OutputOrAbstain(results[i]) : std::string();
     }
   };
-
   bool parallel_ok = options_.num_threads > 1;
   for (const auto& model : models_) {
     parallel_ok = parallel_ok && model->thread_safe();
@@ -187,13 +144,21 @@ std::vector<RowPrediction> DttPipeline::TransformAllFixedBatch(
   }
 
   // Phase 3: pool every model's trials per row through the aggregator.
+  obs::TraceSpan aggregate_span("pipeline", "pipeline.aggregate");
   std::vector<RowPrediction> out;
   out.reserve(num_rows);
+  std::vector<std::vector<std::string>> per_model(num_models);
   for (size_t r = 0; r < num_rows; ++r) {
+    for (size_t m = 0; m < num_models; ++m) {
+      auto first = outputs[m].begin() + (r == 0 ? 0 : row_end[m][r - 1]);
+      auto last = outputs[m].begin() + row_end[m][r];
+      per_model[m].assign(std::make_move_iterator(first),
+                          std::make_move_iterator(last));
+    }
+    AggregateResult agg = aggregator_.AggregateMulti(per_model);
     RowPrediction row;
     row.source = sources[r];
-    AggregateResult agg = aggregator_.AggregateMulti(outputs[r]);
-    row.prediction = agg.prediction;
+    row.prediction = std::move(agg.prediction);
     row.confidence = agg.confidence;
     row.support = agg.support;
     out.push_back(std::move(row));

@@ -24,16 +24,15 @@ struct RowPrediction {
 struct PipelineOptions {
   DecomposerOptions decomposer;
   SerializerOptions serializer;
-  /// Prompts per TransformBatch dispatch in TransformAll. Grouping changes
+  /// Prompts per TransformBatch dispatch in TransformAll: each model's
+  /// prompts are cut into batches of this size. Grouping changes
   /// throughput, not predictions.
   int batch_size = 16;
-  /// Worker threads TransformAll shards prompt batches across. The
-  /// serve-backed TransformAll gates per backend: thread-safe models share
-  /// the pool while stateful ones run their batches serially on their own
-  /// scheduler thread. (The retained TransformAllFixedBatch reference keeps
-  /// the pre-serve all-or-nothing rule: threads only when every attached
-  /// model is thread_safe().) Predictions are identical for any thread
-  /// count either way.
+  /// Worker threads TransformAll shards those batches across. 1 (the
+  /// default) runs every batch on the calling thread; above 1, batches go
+  /// to a ThreadPool only when every attached model is thread_safe(), and
+  /// otherwise still run on the calling thread. Predictions are identical
+  /// for any thread count.
   int num_threads = 1;
   /// When non-empty, enables Chrome-trace span recording (obs/trace.h) and
   /// writes the trace-event JSON to this path at StopTracing / process
@@ -62,26 +61,20 @@ class DttPipeline {
                              const std::vector<ExamplePair>& examples,
                              Rng* rng) const;
 
-  /// Transforms every source row (the R of Eq. 1) on top of the
-  /// transformation-serving subsystem: one draw from `rng` seeds the
-  /// service's per-request RNG streams, every row is submitted in order to a
-  /// serve::TransformService (per-backend micro-batch queues of
-  /// options().batch_size, options().num_threads shared workers, prompt
-  /// dedup + LRU result cache), and the futures are collected in submission
-  /// order. Offline experiments and online serving share one scheduler;
-  /// predictions are bit-identical to TransformAllFixedBatch for any batch
-  /// size or thread count (and repeated calls with the same rng stay
-  /// independent).
+  /// Transforms every source row (the R of Eq. 1) offline, in three
+  /// phases: one draw from `rng` seeds a per-call base stream and every
+  /// (row, model, trial) prompt is materialized from base.Fork(row)
+  /// .Fork(model); each model's prompts are cut into options().batch_size
+  /// TransformBatch dispatches (see PipelineOptions::num_threads for where
+  /// they run); each row's trials are pooled through the aggregator.
+  /// Predictions do not depend on batch size or thread count, and repeated
+  /// calls with the same rng stay independent. A backend that returns
+  /// fewer results than prompts abstains on the missing ones.
+  ///
+  /// serve::TransformService is the online path over the same streams:
+  /// submitting rows 0..n-1 in order to a service seeded with the same
+  /// single draw reproduces TransformAll bit-for-bit (serve_service_test).
   std::vector<RowPrediction> TransformAll(
-      const std::vector<std::string>& sources,
-      const std::vector<ExamplePair>& examples, Rng* rng) const;
-
-  /// The pre-serve reference path: materializes every (row, model, trial)
-  /// prompt up front and dispatches fixed batch_size groups across one
-  /// shared pool (all backends convoying, no cache). Kept as the
-  /// bit-identity baseline for the service (asserted in core/serve tests)
-  /// and as the comparison leg of bench/exp_serve.
-  std::vector<RowPrediction> TransformAllFixedBatch(
       const std::vector<std::string>& sources,
       const std::vector<ExamplePair>& examples, Rng* rng) const;
 

@@ -41,7 +41,7 @@ struct PatternInductionOptions {
 
 /// Simulated fine-tuned ByT5: an example-driven character-level program
 /// synthesizer with the behavioural envelope of the paper's DTT model
-/// (DESIGN.md §1 documents the substitution).
+/// (docs/design.md §1 documents the substitution).
 class PatternInductionModel : public TextToTextModel {
  public:
   explicit PatternInductionModel(PatternInductionOptions options = {});

@@ -103,8 +103,8 @@ struct ServeOptions {
   /// the offline path bit-for-bit.
   uint64_t seed = 0x9E3779B97F4A7C15ULL;
   /// Construct the service with the batch schedulers paused; no batch is cut
-  /// until Start(). Lets an offline caller enqueue a whole table first so
-  /// batches fill completely (DttPipeline::TransformAll uses this).
+  /// until Start(). Lets a caller enqueue a whole table first so batches
+  /// fill completely.
   bool start_paused = false;
 };
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <mutex>
+#include <thread>
 
 #include "core/aggregator.h"
 #include "core/joiner.h"
@@ -257,6 +259,70 @@ TEST(PipelineThreadingTest, MultiModelThreadedMatchesSerial) {
   for (size_t r = 0; r < serial.size(); ++r) {
     EXPECT_EQ(serial[r].prediction, threaded[r].prediction) << "row " << r;
     EXPECT_EQ(serial[r].support, threaded[r].support) << "row " << r;
+  }
+}
+
+/// A thread-safe model that records the thread of every TransformBatch
+/// call; its outputs depend only on the prompt.
+class ThreadRecordingModel : public TextToTextModel {
+ public:
+  std::string name() const override { return "thread-recording"; }
+  Result<std::string> Transform(const Prompt& prompt) override {
+    return prompt.source + "/" + prompt.examples.front().target;
+  }
+  std::vector<Result<std::string>> TransformBatch(
+      const std::vector<Prompt>& prompts) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      threads_.push_back(std::this_thread::get_id());
+    }
+    return TextToTextModel::TransformBatch(prompts);
+  }
+  bool thread_safe() const override { return true; }
+  std::vector<std::thread::id> threads() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return threads_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<std::thread::id> threads_;
+};
+
+// With one thread TransformAll runs every batch on the caller's thread (no
+// scheduler or pool thread per call); with four it shards them and still
+// predicts the same.
+TEST(PipelineThreadingTest, SingleThreadRunsBatchesOnCallerThread) {
+  std::vector<ExamplePair> examples = {
+      {"ab", "B"}, {"cd", "D"}, {"ef", "F"}, {"gh", "H"}};
+  std::vector<std::string> sources = {"ij", "kl", "mn", "op", "qr", "st"};
+  auto run = [&](int num_threads, std::vector<std::thread::id>* threads) {
+    auto model = std::make_shared<ThreadRecordingModel>();
+    PipelineOptions opts;
+    opts.decomposer.num_trials = 3;
+    opts.batch_size = 2;
+    opts.num_threads = num_threads;
+    DttPipeline pipeline(model, opts);
+    Rng rng(21);
+    auto rows = pipeline.TransformAll(sources, examples, &rng);
+    *threads = model->threads();
+    return rows;
+  };
+  std::vector<std::thread::id> serial_threads, threaded_threads;
+  const auto serial = run(1, &serial_threads);
+  ASSERT_EQ(serial_threads.size(), 9u);  // 6 rows x 3 trials / batch 2
+  for (const std::thread::id& id : serial_threads) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+  const auto threaded = run(4, &threaded_threads);
+  EXPECT_EQ(threaded_threads.size(), serial_threads.size());
+  ASSERT_EQ(threaded.size(), serial.size());
+  for (size_t r = 0; r < serial.size(); ++r) {
+    EXPECT_FALSE(serial[r].prediction.empty()) << "row " << r;
+    EXPECT_EQ(threaded[r].prediction, serial[r].prediction) << "row " << r;
+    EXPECT_EQ(threaded[r].support, serial[r].support) << "row " << r;
+    EXPECT_DOUBLE_EQ(threaded[r].confidence, serial[r].confidence)
+        << "row " << r;
   }
 }
 

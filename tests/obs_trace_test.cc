@@ -333,7 +333,7 @@ TEST_F(ObsTraceTest, RoundTripsWithPerThreadNesting) {
 // A single served request produces a connected span tree: the async
 // serve.request pair brackets the lifetime, and the submit / queue-wait /
 // complete stage spans all carry the request id as an arg — and serving
-// with tracing on stays bit-identical to the untraced fixed-batch path.
+// with tracing on stays bit-identical to the untraced offline TransformAll.
 TEST_F(ObsTraceTest, ServedRequestProducesConnectedSpanTree) {
   const std::vector<ExamplePair> examples = {
       {"Justin Trudeau", "jtrudeau"}, {"Stephen Harper", "sharper"},
@@ -350,9 +350,8 @@ TEST_F(ObsTraceTest, ServedRequestProducesConnectedSpanTree) {
   popts.decomposer.num_trials = 3;
   popts.batch_size = 4;
   DttPipeline pipeline(models, popts);
-  Rng fixed_rng(seed);
-  const auto fixed =
-      pipeline.TransformAllFixedBatch(sources, examples, &fixed_rng);
+  Rng offline_rng(seed);
+  const auto offline = pipeline.TransformAll(sources, examples, &offline_rng);
 
   const std::string path = TempFile("serve_trace.json");
   ASSERT_TRUE(StartTracing(path).ok());
@@ -376,10 +375,10 @@ TEST_F(ObsTraceTest, ServedRequestProducesConnectedSpanTree) {
   ASSERT_TRUE(StopTracing().ok());
 
   // Bit-exactness with tracing on.
-  ASSERT_EQ(served.size(), fixed.size());
+  ASSERT_EQ(served.size(), offline.size());
   for (size_t r = 0; r < served.size(); ++r) {
-    EXPECT_EQ(served[r].prediction, fixed[r].prediction) << "row " << r;
-    EXPECT_EQ(served[r].support, fixed[r].support) << "row " << r;
+    EXPECT_EQ(served[r].prediction, offline[r].prediction) << "row " << r;
+    EXPECT_EQ(served[r].support, offline[r].support) << "row " << r;
   }
 
   const JsonValue doc = ParseTraceFile(path);
@@ -494,8 +493,9 @@ TEST_F(ObsTraceTest, TracedDecodeIsBitExactWithUntraced) {
 }
 
 // PipelineOptions.trace_path is the API-level switch: constructing the
-// pipeline starts tracing, the TransformAll span appears, and predictions
-// still match the reference.
+// pipeline starts tracing, the TransformAll span appears with one
+// pipeline.decompose and one pipeline.aggregate span nested in it on the
+// same thread, and predictions still match the reference.
 TEST_F(ObsTraceTest, PipelineTracePathEnablesTracing) {
   const std::vector<ExamplePair> examples = {{"alpha-beta", "beta"},
                                              {"gamma-delta", "delta"}};
@@ -520,14 +520,31 @@ TEST_F(ObsTraceTest, PipelineTracePathEnablesTracing) {
     EXPECT_EQ(got[r].prediction, ref[r].prediction);
   }
   const JsonValue doc = ParseTraceFile(path);
-  bool saw_transform_all = false;
+  std::map<std::string, std::vector<const JsonValue*>> by_name;
   for (const auto& e : doc.at("traceEvents").items) {
-    if (e.at("name").str == "pipeline.transform_all") {
-      saw_transform_all = true;
-      EXPECT_EQ(e.at("args").at("rows").number, 2.0);
-    }
+    if (e.at("ph").str == "X") by_name[e.at("name").str].push_back(&e);
   }
-  EXPECT_TRUE(saw_transform_all);
+  ASSERT_EQ(by_name["pipeline.transform_all"].size(), 1u);
+  const JsonValue& parent = *by_name["pipeline.transform_all"][0];
+  EXPECT_EQ(parent.at("args").at("rows").number, 2.0);
+  // ts and dur are printed to the nanosecond, each rounded on its own.
+  const double kRoundingUs = 0.002;
+  const double p0 = parent.at("ts").number;
+  const double p1 = p0 + parent.at("dur").number + kRoundingUs;
+  for (const char* phase : {"pipeline.decompose", "pipeline.aggregate"}) {
+    ASSERT_EQ(by_name[phase].size(), 1u) << phase;
+    const JsonValue& child = *by_name[phase][0];
+    EXPECT_EQ(child.at("tid").number, parent.at("tid").number) << phase;
+    const double c0 = child.at("ts").number;
+    EXPECT_LE(p0, c0) << phase;
+    EXPECT_LE(c0 + child.at("dur").number, p1) << phase;
+  }
+  // Phase order: every prompt is materialized before any row aggregates.
+  EXPECT_LE(by_name["pipeline.decompose"][0]->at("ts").number +
+                by_name["pipeline.decompose"][0]->at("dur").number,
+            by_name["pipeline.aggregate"][0]->at("ts").number);
+  EXPECT_EQ(by_name["pipeline.decompose"][0]->at("args").at("prompts").number,
+            2.0);  // 2 rows x the one C(2,2) context
 }
 
 }  // namespace

@@ -68,11 +68,32 @@ TEST(ServeServiceTest, NoExamplesCompletesAsAbstention) {
   EXPECT_EQ(row.support, 0);
 }
 
-// The acceptance bar of the serve subsystem: for the same seed, the service
-// is bit-identical to the PR 2 fixed-batch path across thread counts and
-// queue configurations (different per-backend batch sizes, micro-batch
-// windows, queue depths, cache on/off).
-TEST(ServeServiceTest, BitIdenticalToFixedBatchAcrossConfigs) {
+/// Submits `sources` in row order to `service`, starts it, and collects the
+/// predictions in that order. Drains whenever `max_pending` rows are about
+/// to be in flight, so a tight admission bound never rejects; a paused
+/// service therefore needs `max_pending` above the row count.
+std::vector<RowPrediction> SubmitInRowOrder(
+    TransformService* service, const std::vector<std::string>& sources,
+    const std::vector<ExamplePair>& examples, size_t max_pending) {
+  std::vector<std::future<RowPrediction>> futures;
+  for (const auto& source : sources) {
+    auto admitted = service->Submit(source, examples);
+    EXPECT_TRUE(admitted.ok());
+    if (!admitted.ok()) return {};
+    futures.push_back(std::move(admitted).value());
+    if (futures.size() % max_pending == max_pending - 1) service->Drain();
+  }
+  service->Start();
+  std::vector<RowPrediction> rows;
+  for (auto& future : futures) rows.push_back(future.get());
+  return rows;
+}
+
+// The acceptance bar of the serve subsystem: for the same seed, rows
+// submitted in order are bit-identical to the offline DttPipeline::
+// TransformAll across thread counts and queue configurations (different
+// per-backend batch sizes, micro-batch windows, queue depths, cache on/off).
+TEST(ServeServiceTest, BitIdenticalToTransformAllAcrossConfigs) {
   const auto examples = NameExamples();
   const auto sources = NameSources();
   const uint64_t seed = 424242;
@@ -84,10 +105,9 @@ TEST(ServeServiceTest, BitIdenticalToFixedBatchAcrossConfigs) {
   popts.decomposer.num_trials = 5;
   popts.batch_size = 3;
   DttPipeline pipeline(models, popts);
-  Rng fixed_rng(seed);
-  const auto fixed =
-      pipeline.TransformAllFixedBatch(sources, examples, &fixed_rng);
-  ASSERT_EQ(fixed.size(), sources.size());
+  Rng offline_rng(seed);
+  const auto offline = pipeline.TransformAll(sources, examples, &offline_rng);
+  ASSERT_EQ(offline.size(), sources.size());
 
   struct Config {
     int num_threads;
@@ -108,7 +128,7 @@ TEST(ServeServiceTest, BitIdenticalToFixedBatchAcrossConfigs) {
     ServeOptions sopts;
     sopts.decomposer.num_trials = 5;
     Rng rng(seed);
-    sopts.seed = rng.Next();  // the same single draw as the fixed path
+    sopts.seed = rng.Next();  // the same single draw as TransformAll
     sopts.num_threads = config.num_threads;
     BackendQueueOptions fast_q{config.fast_batch, config.max_wait_ms, {}};
     BackendQueueOptions slow_q{config.slow_batch, config.max_wait_ms, {}};
@@ -116,60 +136,61 @@ TEST(ServeServiceTest, BitIdenticalToFixedBatchAcrossConfigs) {
     sopts.max_pending_rows = config.max_pending;
     sopts.cache.enabled = config.cache;
     TransformService service(models, sopts);
-    std::vector<std::future<RowPrediction>> futures;
-    for (const auto& source : sources) {
-      // Stay under max_pending_rows by draining eagerly when tight.
-      auto admitted = service.Submit(source, examples);
-      ASSERT_TRUE(admitted.ok());
-      futures.push_back(std::move(admitted).value());
-      if (futures.size() % config.max_pending == config.max_pending - 1) {
-        service.Drain();
-      }
-    }
-    service.Drain();
+    const auto served =
+        SubmitInRowOrder(&service, sources, examples, config.max_pending);
+    ASSERT_EQ(served.size(), sources.size());
     for (size_t r = 0; r < sources.size(); ++r) {
-      RowPrediction got = futures[r].get();
-      EXPECT_EQ(got.prediction, fixed[r].prediction)
+      EXPECT_EQ(served[r].prediction, offline[r].prediction)
           << "row " << r << " threads " << config.num_threads << " batches "
           << config.fast_batch << "/" << config.slow_batch << " cache "
           << config.cache;
-      EXPECT_EQ(got.support, fixed[r].support) << "row " << r;
-      EXPECT_DOUBLE_EQ(got.confidence, fixed[r].confidence) << "row " << r;
+      EXPECT_EQ(served[r].support, offline[r].support) << "row " << r;
+      EXPECT_DOUBLE_EQ(served[r].confidence, offline[r].confidence)
+          << "row " << r;
     }
   }
 }
 
-// TransformAll now runs on top of the service and must keep matching the
-// fixed-batch reference for any pipeline batch/thread configuration.
-TEST(ServeServiceTest, PipelineTransformAllMatchesFixedBatch) {
+// The service under the pipeline's own batch/thread configurations (its
+// queues cut batch_size batches, num_threads shared workers) reproduces
+// TransformAll under the same configuration.
+TEST(ServeServiceTest, ServiceInRowOrderMatchesTransformAll) {
   const auto examples = NameExamples();
   const auto sources = NameSources();
+  auto model = std::make_shared<PatternInductionModel>();
   for (const auto& [batch_size, num_threads] :
        std::vector<std::pair<int, int>>{{3, 1}, {16, 4}, {1, 4}}) {
-    PipelineOptions opts;
-    opts.decomposer.num_trials = 5;
-    opts.batch_size = batch_size;
-    opts.num_threads = num_threads;
-    DttPipeline pipeline(std::make_shared<PatternInductionModel>(), opts);
-    Rng rng_fixed(77);
+    PipelineOptions popts;
+    popts.decomposer.num_trials = 5;
+    popts.batch_size = batch_size;
+    popts.num_threads = num_threads;
+    DttPipeline pipeline(model, popts);
+    Rng rng_offline(77);
+    const auto offline = pipeline.TransformAll(sources, examples, &rng_offline);
+
+    ServeOptions sopts;
+    sopts.decomposer = popts.decomposer;
     Rng rng_serve(77);
-    const auto fixed =
-        pipeline.TransformAllFixedBatch(sources, examples, &rng_fixed);
-    const auto served = pipeline.TransformAll(sources, examples, &rng_serve);
-    ASSERT_EQ(served.size(), fixed.size());
-    for (size_t r = 0; r < fixed.size(); ++r) {
-      EXPECT_EQ(served[r].prediction, fixed[r].prediction)
+    sopts.seed = rng_serve.Next();
+    sopts.num_threads = num_threads;
+    sopts.backends = {{batch_size, 0.0, {}}};
+    TransformService service(model, sopts);
+    const auto served = SubmitInRowOrder(&service, sources, examples,
+                                         sopts.max_pending_rows);
+    ASSERT_EQ(served.size(), offline.size());
+    for (size_t r = 0; r < offline.size(); ++r) {
+      EXPECT_EQ(served[r].prediction, offline[r].prediction)
           << "row " << r << " batch " << batch_size << " threads "
           << num_threads;
-      EXPECT_EQ(served[r].support, fixed[r].support) << "row " << r;
+      EXPECT_EQ(served[r].support, offline[r].support) << "row " << r;
     }
   }
 }
 
 // Beam-decoded backends micro-batch exactly like greedy ones: a beam_size>1
 // NeuralSeq2SeqModel served through the micro-batch schedulers (batched
-// Transformer::BeamDecodeBatch dispatches) must stay bit-identical to the
-// fixed-batch reference for any batch size or thread count.
+// Transformer::BeamDecodeBatch dispatches) must stay bit-identical to
+// TransformAll for any batch size or thread count.
 TEST(ServeServiceTest, BeamBackendDeterministicAcrossConfigs) {
   nn::TransformerConfig cfg;
   cfg.dim = 16;
@@ -199,22 +220,87 @@ TEST(ServeServiceTest, BeamBackendDeterministicAcrossConfigs) {
     opts.batch_size = batch_size;
     opts.num_threads = num_threads;
     DttPipeline pipeline(model, opts);
-    Rng rng_fixed(515);
+    Rng rng_offline(515);
+    const auto offline = pipeline.TransformAll(sources, examples, &rng_offline);
+
+    ServeOptions serve_opts;
+    serve_opts.decomposer = opts.decomposer;
     Rng rng_serve(515);
-    const auto fixed =
-        pipeline.TransformAllFixedBatch(sources, examples, &rng_fixed);
-    const auto served = pipeline.TransformAll(sources, examples, &rng_serve);
+    serve_opts.seed = rng_serve.Next();
+    serve_opts.num_threads = num_threads;
+    serve_opts.backends = {{batch_size, 0.0, {}}};
+    TransformService service(model, serve_opts);
+    const auto served = SubmitInRowOrder(&service, sources, examples,
+                                         serve_opts.max_pending_rows);
     ASSERT_EQ(served.size(), sources.size());
     if (reference.empty()) {
-      for (const auto& row : served) reference.push_back(row.prediction);
+      for (const auto& row : offline) reference.push_back(row.prediction);
     }
     for (size_t r = 0; r < served.size(); ++r) {
-      EXPECT_EQ(served[r].prediction, fixed[r].prediction)
+      EXPECT_EQ(served[r].prediction, offline[r].prediction)
           << "row " << r << " batch " << batch_size << " threads "
           << num_threads;
-      EXPECT_EQ(served[r].prediction, reference[r])
+      EXPECT_EQ(offline[r].prediction, reference[r])
           << "row " << r << " batch " << batch_size << " threads "
           << num_threads;
+    }
+  }
+}
+
+/// A pure, thread-safe backend whose TransformBatch drops the last result
+/// of every batch: the missing slot must count as an abstention.
+class ShortBatchModel : public TextToTextModel {
+ public:
+  std::string name() const override { return "short-batch"; }
+  Result<std::string> Transform(const Prompt& prompt) override {
+    return "t:" + prompt.source;
+  }
+  std::vector<Result<std::string>> TransformBatch(
+      const std::vector<Prompt>& prompts) override {
+    std::vector<Result<std::string>> results =
+        TextToTextModel::TransformBatch(prompts);
+    results.pop_back();
+    return results;
+  }
+  bool thread_safe() const override { return true; }
+};
+
+// Offline and served paths agree on a short batch: with each row's three
+// trials in one batch, the dropped third trial abstains (support 2); with
+// one prompt per batch every trial abstains.
+TEST(ServeServiceTest, ShortBatchBackendAbstainsOnMissingResults) {
+  const auto examples = NameExamples();
+  const auto sources = NameSources();
+  auto model = std::make_shared<ShortBatchModel>();
+  for (const int batch_size : {3, 1}) {
+    PipelineOptions popts;
+    popts.decomposer.num_trials = 3;  // C(7,2)=21 contexts: 3 trials a row
+    popts.batch_size = batch_size;
+    DttPipeline pipeline(model, popts);
+    Rng rng_offline(5);
+    const auto offline = pipeline.TransformAll(sources, examples, &rng_offline);
+
+    ServeOptions sopts;
+    sopts.decomposer = popts.decomposer;
+    Rng rng_serve(5);
+    sopts.seed = rng_serve.Next();
+    sopts.backends = {{batch_size, 0.0, {}}};
+    sopts.start_paused = true;  // batches fill in row order
+    TransformService service(model, sopts);
+    const auto served = SubmitInRowOrder(&service, sources, examples,
+                                         sopts.max_pending_rows);
+    ASSERT_EQ(offline.size(), sources.size());
+    ASSERT_EQ(served.size(), sources.size());
+    for (size_t r = 0; r < sources.size(); ++r) {
+      if (batch_size == 3) {
+        EXPECT_EQ(offline[r].prediction, "t:" + sources[r]) << "row " << r;
+        EXPECT_EQ(offline[r].support, 2) << "row " << r;
+      } else {
+        EXPECT_TRUE(offline[r].prediction.empty()) << "row " << r;
+        EXPECT_EQ(offline[r].support, 0) << "row " << r;
+      }
+      EXPECT_EQ(served[r].prediction, offline[r].prediction) << "row " << r;
+      EXPECT_EQ(served[r].support, offline[r].support) << "row " << r;
     }
   }
 }
