@@ -13,6 +13,7 @@
 #include "core/joiner.h"
 #include "io/model_artifact.h"
 #include "models/alignment.h"
+#include "models/synthesis_memo.h"
 #include "nn/checkpoint.h"
 #include "nn/trainer.h"
 #include "obs/metrics.h"
@@ -104,6 +105,25 @@ void BM_JointSynthesize(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_JointSynthesize)->RangeMultiplier(2)->Range(8, 64);
+
+void BM_SynthesisMemoHit(benchmark::State& state) {
+  // The memo-hit path of a simulated backend's prompt: build the key, find
+  // a two-example context's compact entry, and scan it for the first
+  // program whose output on the input row is non-empty.
+  induction::InductionConfig cfg;
+  const std::vector<ExamplePair> examples = {{"Toronto, ON", "TOR"},
+                                             {"Vancouver, BC", "VAN"}};
+  induction::SynthesisMemo memo(size_t{1} << 20);
+  const induction::ProgramList entry = memo.CommonPrograms(examples, cfg);
+  state.counters["programs"] = static_cast<double>(entry.size());
+  std::string out;
+  for (auto _ : state) {
+    const induction::TokenCache input("Montreal, QC", cfg.separators);
+    const induction::ProgramList programs = memo.CommonPrograms(examples, cfg);
+    benchmark::DoNotOptimize(programs.FirstApplicable(input, &out));
+  }
+}
+BENCHMARK(BM_SynthesisMemoHit);
 
 void BM_Aggregate(benchmark::State& state) {
   Aggregator agg;

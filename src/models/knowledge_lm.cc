@@ -77,7 +77,10 @@ Result<std::string> KnowledgeLM::Transform(const Prompt& prompt) {
     }
   }
 
+  // Every candidate applies through one tokenization of the input.
   induction::SynthesisMemo& memo = induction::SynthesisMemo::Shared();
+  const induction::TokenCache input(prompt.source, cfg.separators);
+  std::string out;
   if (k == 1) {
     // A single example underdetermines the transformation: sometimes the
     // model mis-reads the task entirely and rambles ...
@@ -88,33 +91,31 @@ Result<std::string> KnowledgeLM::Transform(const Prompt& prompt) {
     // the Figure 3 one-shot failure mode).
     const induction::ProgramList programs =
         memo.Programs(prompt.examples[0], cfg);
-    std::vector<const induction::AtomProgram*> applicable;
-    for (const auto& p : *programs) {
-      auto out = p.Apply(prompt.source, cfg.separators);
-      if (out && !out->empty()) applicable.push_back(&p);
+    std::vector<std::string> applicable;
+    size_t i = programs.FirstApplicable(input, &out);
+    while (i < programs.size()) {
+      applicable.push_back(out);
       if (static_cast<int>(applicable.size()) >= options_.one_example_top_n) {
         break;
       }
+      i = programs.FirstApplicable(input, &out, i + 1);
     }
     if (!applicable.empty()) {
-      const auto* pick = applicable[rng.NextBounded(applicable.size())];
-      auto out = pick->Apply(prompt.source, cfg.separators);
-      return CorruptChars(*out, noise, &rng);
+      return CorruptChars(applicable[rng.NextBounded(applicable.size())],
+                          noise, &rng);
     }
   } else {
     const induction::ProgramList programs =
         memo.CommonPrograms(prompt.examples, cfg);
-    for (const auto& program : *programs) {
-      auto out = program.Apply(prompt.source, cfg.separators);
-      if (out && !out->empty()) return CorruptChars(*out, noise, &rng);
+    if (programs.FirstApplicable(input, &out) < programs.size()) {
+      return CorruptChars(out, noise, &rng);
     }
     // Inconsistent context: follow the first example alone half the time.
     if (rng.NextBool(0.5)) {
       const induction::ProgramList singles =
           memo.Programs(prompt.examples[0], cfg);
-      for (const auto& program : *singles) {
-        auto out = program.Apply(prompt.source, cfg.separators);
-        if (out && !out->empty()) return CorruptChars(*out, noise, &rng);
+      if (singles.FirstApplicable(input, &out) < singles.size()) {
+        return CorruptChars(out, noise, &rng);
       }
     }
   }

@@ -96,15 +96,16 @@ Result<std::string> PatternInductionModel::Transform(const Prompt& prompt) {
     }
   }
 
-  // 3. Character-level program synthesis across all context examples.
+  // 3. Character-level program synthesis across all context examples. Every
+  // candidate applies through one tokenization of the input.
   induction::SynthesisMemo& memo = induction::SynthesisMemo::Shared();
+  const induction::TokenCache input(prompt.source,
+                                    options_.induction.separators);
+  std::string out;
   const induction::ProgramList programs =
       memo.CommonPrograms(prompt.examples, options_.induction);
-  for (const auto& program : *programs) {
-    auto out = program.Apply(prompt.source, options_.induction.separators);
-    if (out && !out->empty()) {
-      return CorruptChars(*out, options_.generation_noise, &rng);
-    }
+  if (programs.FirstApplicable(input, &out) < programs.size()) {
+    return CorruptChars(out, options_.generation_noise, &rng);
   }
 
   // 4. Noise fallback: no program explains all examples (inconsistent or
@@ -120,15 +121,11 @@ Result<std::string> PatternInductionModel::Transform(const Prompt& prompt) {
     for (const auto& example : prompt.examples) {
       const induction::ProgramList singles =
           memo.Programs(example, options_.induction);
-      for (const auto& program : *singles) {
-        auto out = program.Apply(prompt.source, options_.induction.separators);
-        if (out && !out->empty()) {
-          if (program.score > best_score) {
-            best_score = program.score;
-            best_output = *out;
-          }
-          break;  // top applicable program per example
-        }
+      // The top applicable program per example.
+      const size_t top = singles.FirstApplicable(input, &out);
+      if (top < singles.size() && singles.score(top) > best_score) {
+        best_score = singles.score(top);
+        best_output = out;
       }
     }
     if (!best_output.empty()) {

@@ -1,8 +1,8 @@
 #include "models/synthesis_memo.h"
 
 #include <cstdint>
-#include <cstring>
 
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace dtt {
@@ -23,10 +23,16 @@ static_assert(sizeof(InductionConfig) == sizeof(KeyedConfigFields),
               "InductionConfig changed: add the new field to "
               "SynthesisMemo::Key");
 
+// A self-delimiting varint of zigzag(v): the small values that make up a
+// key take one byte each, and keys stay as short as what they hold (the
+// memo charges every key against its byte budget).
 void AppendInt(int64_t v, std::string* out) {
-  char bytes[sizeof(v)];
-  std::memcpy(bytes, &v, sizeof(v));
-  out->append(bytes, sizeof(v));
+  uint64_t z = (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
+  while (z >= 0x80) {
+    out->push_back(static_cast<char>(z | 0x80));
+    z >>= 7;
+  }
+  out->push_back(static_cast<char>(z));
 }
 
 void AppendBytes(const std::string& s, std::string* out) {
@@ -36,9 +42,38 @@ void AppendBytes(const std::string& s, std::string* out) {
 
 }  // namespace
 
-SynthesisMemo::SynthesisMemo(size_t capacity, int num_shards,
+void ProgramList::Apply(size_t i, const TokenCache& cache,
+                        std::string* out) const {
+  if (!uncached_) {
+    compact_.Apply(i, cache, out);
+    return;
+  }
+  std::optional<std::string> applied = (*uncached_)[i].Apply(cache);
+  if (applied) {
+    *out = std::move(*applied);
+  } else {
+    out->clear();
+  }
+}
+
+size_t ProgramList::FirstApplicable(const TokenCache& cache, std::string* out,
+                                    size_t from) const {
+  const size_t n = size();
+  for (size_t i = from; i < n; ++i) {
+    Apply(i, cache, out);
+    if (!out->empty()) return i;
+  }
+  return n;
+}
+
+SynthesisMemo::SynthesisMemo(size_t byte_budget, int num_shards,
                              const std::string& metrics_prefix)
-    : cache_(capacity, num_shards, metrics_prefix) {}
+    : cache_(byte_budget, num_shards, metrics_prefix, "bytes") {
+  if (!metrics_prefix.empty()) {
+    uncached_counter_ =
+        obs::MetricsRegistry::Global().GetCounter(metrics_prefix + ".uncached");
+  }
+}
 
 std::string SynthesisMemo::Key(const ExamplePair* examples, size_t n,
                                const InductionConfig& cfg) {
@@ -63,31 +98,31 @@ std::string SynthesisMemo::Key(const ExamplePair* examples, size_t n,
   return key;
 }
 
-namespace {
-
-// The memoized value of `key`, running `synthesize` (under a `span_name`
-// span, so traces show misses only) when it is absent.
 template <typename Synthesize>
-ProgramList GetOrSynthesize(ShardedLruCache<ProgramList>* cache,
-                            const std::string& key, const char* span_name,
-                            size_t num_examples, Synthesize synthesize) {
-  if (auto hit = cache->Get(key)) return *hit;
+ProgramList SynthesisMemo::GetOrSynthesize(const std::string& key,
+                                           const char* span_name,
+                                           size_t num_examples,
+                                           Synthesize synthesize) {
+  if (auto hit = cache_.Get(key)) return ProgramList(std::move(*hit));
   obs::TraceSpan span("models", span_name);
-  ProgramList programs =
-      std::make_shared<const std::vector<AtomProgram>>(synthesize());
+  std::vector<AtomProgram> programs = synthesize();
   if (span.enabled()) {
     span.Arg("examples", static_cast<int64_t>(num_examples));
-    span.Arg("programs", static_cast<int64_t>(programs->size()));
+    span.Arg("programs", static_cast<int64_t>(programs.size()));
   }
-  cache->Put(key, programs);
-  return programs;
+  std::optional<CompactPrograms> compact = CompactPrograms::Encode(programs);
+  if (compact && cache_.Put(key, *compact, key.size() + compact->bytes())) {
+    return ProgramList(std::move(*compact));
+  }
+  ++uncached_;
+  if (uncached_counter_ != nullptr) uncached_counter_->Increment();
+  return compact ? ProgramList(std::move(*compact))
+                 : ProgramList(std::move(programs));
 }
-
-}  // namespace
 
 ProgramList SynthesisMemo::Programs(const ExamplePair& ex,
                                     const InductionConfig& cfg) {
-  return GetOrSynthesize(&cache_, Key(&ex, 1, cfg), "models.synthesize", 1,
+  return GetOrSynthesize(Key(&ex, 1, cfg), "models.synthesize", 1,
                          [&] { return SynthesizePrograms(ex, cfg); });
 }
 
@@ -95,7 +130,7 @@ ProgramList SynthesisMemo::CommonPrograms(
     const std::vector<ExamplePair>& examples, const InductionConfig& cfg) {
   if (examples.size() == 1) return Programs(examples[0], cfg);
   return GetOrSynthesize(
-      &cache_, Key(examples.data(), examples.size(), cfg),
+      Key(examples.data(), examples.size(), cfg),
       "models.joint_synthesize", examples.size(),
       [&] { return SynthesizeCommonPrograms(examples, cfg); });
 }
@@ -103,7 +138,7 @@ ProgramList SynthesisMemo::CommonPrograms(
 SynthesisMemo& SynthesisMemo::Shared() {
   // Leaked so worker threads may still use it during static destruction.
   static SynthesisMemo* memo = new SynthesisMemo(
-      kSynthesisMemoCapacity, /*num_shards=*/8, "models.synth_cache");
+      kSynthesisMemoBytes, /*num_shards=*/8, "models.synth_cache");
   return *memo;
 }
 

@@ -64,6 +64,87 @@ TEST(ServeLruCacheTest, ShardingNeverExceedsTotalCapacity) {
   EXPECT_GT(cache.stats().evictions, 0u);
 }
 
+TEST(ServeLruCacheTest, ChargeBasedEviction) {
+  ShardedLruCache<std::string> cache(/*capacity=*/10, /*num_shards=*/1);
+  EXPECT_TRUE(cache.Put("a", "1", /*charge=*/4));
+  EXPECT_TRUE(cache.Put("b", "2", /*charge=*/4));
+  EXPECT_EQ(cache.stats().charge, 8u);
+  ASSERT_TRUE(cache.Get("a").has_value());  // "b" is now least recent
+  EXPECT_TRUE(cache.Put("c", "3", /*charge=*/3));  // 11 > 10: evicts "b"
+  EXPECT_FALSE(cache.Get("b").has_value());
+  EXPECT_EQ(cache.stats().charge, 7u);
+  // One large entry pushes out as many entries as it needs.
+  EXPECT_TRUE(cache.Put("d", "4", /*charge=*/9));
+  EXPECT_FALSE(cache.Get("a").has_value());
+  EXPECT_FALSE(cache.Get("c").has_value());
+  LruCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.size, 1u);
+  EXPECT_EQ(stats.charge, 9u);
+  EXPECT_EQ(stats.evictions, 3u);
+  // Overwriting recharges the entry rather than adding to it.
+  EXPECT_TRUE(cache.Put("d", "5", /*charge=*/2));
+  stats = cache.stats();
+  EXPECT_EQ(stats.charge, 2u);
+  EXPECT_EQ(stats.insertions, 4u);
+  EXPECT_EQ(*cache.Get("d"), "5");
+}
+
+TEST(ServeLruCacheTest, OversizedEntryIsNotRetained) {
+  ShardedLruCache<std::string> cache(/*capacity=*/10, /*num_shards=*/1);
+  EXPECT_TRUE(cache.Put("a", "1", /*charge=*/6));
+  EXPECT_FALSE(cache.Put("big", "x", /*charge=*/11));
+  EXPECT_FALSE(cache.Get("big").has_value());
+  // Nothing was evicted to make room for an entry that cannot fit.
+  EXPECT_TRUE(cache.Get("a").has_value());
+  LruCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.insertions, 1u);
+  EXPECT_EQ(stats.charge, 6u);
+  // An oversized overwrite drops the older value under its key.
+  EXPECT_FALSE(cache.Put("a", "2", /*charge=*/11));
+  EXPECT_FALSE(cache.Get("a").has_value());
+  stats = cache.stats();
+  EXPECT_EQ(stats.size, 0u);
+  EXPECT_EQ(stats.charge, 0u);
+}
+
+TEST(ServeLruCacheTest, ShardSplitOfAChargeBudgetNeverExceedsTotal) {
+  // A budget that does not divide evenly, so the shards differ by one.
+  constexpr size_t kBudget = 1003;
+  ShardedLruCache<std::string> cache(kBudget, /*num_shards=*/8);
+  ASSERT_EQ(cache.num_shards(), 8);
+  // Entries of the largest charge one shard holds (kBudget / 8 + 1 = 126)
+  // are retained only by the shards that got the remainder.
+  size_t retained_big = 0;
+  for (int i = 0; i < 64; ++i) {
+    retained_big += cache.Put("big-" + std::to_string(i), "v", 126) ? 1 : 0;
+    EXPECT_LE(cache.stats().charge, kBudget);
+  }
+  EXPECT_GT(retained_big, 0u);
+  EXPECT_LT(retained_big, 64u);
+  // Many small entries of mixed charge fill every shard to its share.
+  for (int i = 0; i < 2000; ++i) {
+    cache.Put("key-" + std::to_string(i), "v",
+              static_cast<size_t>(1 + i % 7));
+    EXPECT_LE(cache.stats().charge, kBudget);
+  }
+  EXPECT_GT(cache.stats().charge, kBudget - 8 * 7);
+}
+
+TEST(ServeLruCacheTest, MirrorsResidentChargeOntoAGauge) {
+  const std::string prefix = "test.lru_charge_gauge";
+  auto& metrics = obs::MetricsRegistry::Global();
+  ShardedLruCache<std::string> cache(/*capacity=*/10, /*num_shards=*/1,
+                                     prefix, "bytes");
+  cache.Put("a", "1", 4);
+  cache.Put("b", "2", 5);
+  EXPECT_EQ(metrics.GetGauge(prefix + ".bytes")->Value(), 9);
+  cache.Put("c", "3", 6);  // evicts "a" and "b"
+  EXPECT_EQ(metrics.GetGauge(prefix + ".bytes")->Value(), 6);
+  EXPECT_EQ(static_cast<size_t>(metrics.GetGauge(prefix + ".bytes")->Value()),
+            cache.stats().charge);
+}
+
 TEST(ServeLruCacheTest, ShardCountClampedToCapacity) {
   ShardedLruCache<std::string> cache(/*capacity=*/2, /*num_shards=*/16);
   EXPECT_LE(cache.num_shards(), 2);
